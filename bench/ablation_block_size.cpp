@@ -17,7 +17,8 @@ int main(int argc, char** argv) {
           args, "ablation_block_size", {"ufmc"}))
     return rc;
   bench::banner("Ablation — block size vs convergence",
-                "paper Section 4.1 (block-size discussion)");
+                "paper Section 4.1 (block-size discussion)",
+                bench::Timings::kVirtual);
 
   for (PaperMatrix id : {PaperMatrix::kFv1, PaperMatrix::kTrefethen2000}) {
     const TestProblem p = make_paper_problem(id, bench::ufmc_dir(args));

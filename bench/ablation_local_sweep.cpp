@@ -35,7 +35,8 @@ int main(int argc, char** argv) {
           args, "ablation_local_sweep", {"ufmc"}))
     return rc;
   bench::banner("Ablation — local sweep type and damping",
-                "paper Section 5 (tuning outlook)");
+                "paper Section 5 (tuning outlook)",
+                bench::Timings::kVirtual);
 
   for (PaperMatrix id : {PaperMatrix::kFv1, PaperMatrix::kTrefethen2000}) {
     const TestProblem p = make_paper_problem(id, bench::ufmc_dir(args));

@@ -35,7 +35,8 @@ int main(int argc, char** argv) {
     return rc;
   bench::banner("Ablation — memory-bound analysis",
                 "paper Sections 4.6 / 5 (\"the application is memory "
-                "bound\")");
+                "bound\")",
+                bench::Timings::kVirtual);
 
   const gpusim::CostModel model = gpusim::CostModel::calibrated_to_paper();
   const value_t peak_bw = model.device().mem_bandwidth_gbs * 1.0e9;

@@ -18,7 +18,8 @@ int main(int argc, char** argv) {
           args, "ablation_multigrid_smoother", {"m"}))
     return rc;
   bench::banner("Ablation — multigrid smoothers",
-                "paper Section 5 (future work: multigrid smoothing)");
+                "paper Section 5 (future work: multigrid smoothing)",
+                bench::Timings::kVirtual);
   const auto m = static_cast<index_t>(args.get_int("m", 63));
 
   Vector rhs(static_cast<std::size_t>(m * m));

@@ -17,7 +17,8 @@ int main(int argc, char** argv) {
           args, "ablation_overlap", {"ufmc"}))
     return rc;
   bench::banner("Ablation — subdomain overlap",
-                "asynchronous additive Schwarz (paper refs [5], [18])");
+                "asynchronous additive Schwarz (paper refs [5], [18])",
+                bench::Timings::kVirtual);
 
   for (PaperMatrix id : {PaperMatrix::kFv1, PaperMatrix::kTrefethen2000}) {
     const TestProblem p = make_paper_problem(id, bench::ufmc_dir(args));

@@ -18,7 +18,8 @@ int main(int argc, char** argv) {
           args, "ablation_precond_cg", {"ufmc"}))
     return rc;
   bench::banner("Ablation — async-preconditioned flexible CG",
-                "paper Section 5 (relaxation as preconditioner)");
+                "paper Section 5 (relaxation as preconditioner)",
+                bench::Timings::kVirtual);
 
   report::Table t({"matrix", "CG iters", "PCG-Jacobi iters",
                    "FCG-async(2) iters"});

@@ -32,7 +32,8 @@ int main(int argc, char** argv) {
           args, "ablation_reordering", {"ufmc"}))
     return rc;
   bench::banner("Ablation — RCM reordering of Chem97ZtZ",
-                "paper Section 4.3 (reordering remark)");
+                "paper Section 4.3 (reordering remark)",
+                bench::Timings::kVirtual);
 
   const TestProblem p =
       make_paper_problem(PaperMatrix::kChem97ZtZ, bench::ufmc_dir(args));

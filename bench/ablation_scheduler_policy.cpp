@@ -35,7 +35,8 @@ int main(int argc, char** argv) {
           args, "ablation_scheduler_policy", {"ufmc"}))
     return rc;
   bench::banner("Ablation — scheduler policy vs convergence",
-                "Chazan-Miranker update-order freedom (paper Section 2.2)");
+                "Chazan-Miranker update-order freedom (paper Section 2.2)",
+                bench::Timings::kVirtual);
 
   for (PaperMatrix id : {PaperMatrix::kFv1, PaperMatrix::kChem97ZtZ,
                          PaperMatrix::kTrefethen2000}) {

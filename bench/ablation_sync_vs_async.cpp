@@ -21,7 +21,8 @@ int main(int argc, char** argv) {
           args, "ablation_sync_vs_async", {"ufmc"}))
     return rc;
   bench::banner("Ablation — synchronous two-stage vs asynchronous",
-                "the paper's central trade-off (Sections 2.2, 4.3)");
+                "the paper's central trade-off (Sections 2.2, 4.3)",
+                bench::Timings::kVirtual);
 
   const gpusim::CostModel model = gpusim::CostModel::calibrated_to_paper();
 

@@ -23,7 +23,8 @@ int main(int argc, char** argv) {
           args, "ablation_two_stage_theory", {"m"}))
     return rc;
   bench::banner("Ablation — two-stage operator theory vs async measurement",
-                "synchronous rate rho(T_k) against measured async-(k)");
+                "synchronous rate rho(T_k) against measured async-(k)",
+                bench::Timings::kVirtual);
 
   const index_t m = static_cast<index_t>(args.get_int("m", 20));
   const Csr a = fv_like(m, fv_reaction_for_rho(m, 0.8541));

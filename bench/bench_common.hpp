@@ -40,12 +40,22 @@ inline int require_known_flags(const report::Args& args,
   return 2;
 }
 
-/// Print the standard bench banner.
-inline void banner(const std::string& what, const std::string& paper_ref) {
+/// The clock a bench's timings are measured on.
+enum class Timings {
+  kVirtual,  ///< simulated seconds on the paper's hardware model
+  kWall,     ///< real elapsed seconds on the host running the bench
+};
+
+/// Print the standard bench banner, naming the clock behind its timings.
+inline void banner(const std::string& what, const std::string& paper_ref,
+                   Timings timings) {
   std::cout << "=== " << what << " ===\n"
             << "reproduces: " << paper_ref << "\n"
-            << "(timings are virtual seconds on the paper's hardware "
-               "model; see DESIGN.md)\n\n";
+            << (timings == Timings::kVirtual
+                    ? "(timings are virtual seconds on the paper's hardware "
+                      "model; see DESIGN.md)\n\n"
+                    : "(timings are wall-clock seconds on the host running "
+                      "this binary)\n\n");
 }
 
 }  // namespace bars::bench

@@ -23,7 +23,7 @@ namespace {
 
 struct Scenario {
   std::string label;
-  std::optional<gpusim::FaultPlan> plan;
+  std::optional<resilience::FaultScenario> faults;
 };
 
 value_t at(const std::vector<value_t>& h, index_t i) {
@@ -39,7 +39,8 @@ int main(int argc, char** argv) {
           args, "fig10_fault_tolerance", {"ufmc", "fraction", "fail-at"}))
     return rc;
   bench::banner("Fig. 10 / Table 6 — fault tolerance of async-(5)",
-                "paper Section 4.5");
+                "paper Section 4.5",
+                bench::Timings::kVirtual);
   const value_t fraction = args.get_double("fraction", 0.25);
   const auto fail_at = static_cast<index_t>(args.get_int("fail-at", 10));
 
@@ -53,19 +54,13 @@ int main(int argc, char** argv) {
     std::vector<Scenario> scenarios;
     scenarios.push_back({"no failure", std::nullopt});
     for (index_t tr : {10, 20, 30}) {
-      gpusim::FaultPlan plan;
-      plan.fail_at = fail_at;
-      plan.fraction = fraction;
-      plan.recover_after = tr;
-      scenarios.push_back({"recovery-(" + std::to_string(tr) + ")", plan});
+      scenarios.push_back(
+          {"recovery-(" + std::to_string(tr) + ")",
+           resilience::FaultScenario().fail_components(fail_at, fraction, tr)});
     }
-    {
-      gpusim::FaultPlan plan;
-      plan.fail_at = fail_at;
-      plan.fraction = fraction;
-      plan.recover_after = std::nullopt;
-      scenarios.push_back({"no recovery", plan});
-    }
+    scenarios.push_back(
+        {"no recovery", resilience::FaultScenario().fail_components(
+                            fail_at, fraction, std::nullopt)});
 
     std::vector<std::vector<value_t>> histories;
     std::vector<index_t> conv_iters;
@@ -74,7 +69,7 @@ int main(int argc, char** argv) {
       o.block_size = 448;
       o.local_iters = 5;
       o.matrix_name = p.name;
-      o.fault = s.plan;
+      o.scenario = s.faults;
       o.seed = 31;
       o.solve.max_iters = 4 * max_iters;
       o.solve.tol = 1e-14;

@@ -19,7 +19,8 @@ int main(int argc, char** argv) {
           args, "fig11_multigpu", {"ufmc", "tol"}))
     return rc;
   bench::banner("Fig. 11 — multi-GPU time-to-convergence (Trefethen_20000)",
-                "paper Section 4.6");
+                "paper Section 4.6",
+                bench::Timings::kVirtual);
   const value_t tol = args.get_double("tol", 1e-10);
 
   const TestProblem p =

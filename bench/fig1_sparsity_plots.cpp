@@ -16,7 +16,8 @@ int main(int argc, char** argv) {
   if (const int rc = bench::require_known_flags(
           args, "fig1_sparsity_plots", {"ufmc"}))
     return rc;
-  bench::banner("Fig. 1 — sparsity plots", "paper Section 3.1, Fig. 1");
+  bench::banner("Fig. 1 — sparsity plots", "paper Section 3.1, Fig. 1",
+                bench::Timings::kVirtual);
 
   for (PaperMatrix id :
        {PaperMatrix::kChem97ZtZ, PaperMatrix::kFv1, PaperMatrix::kS1rmt3m1,

@@ -75,7 +75,8 @@ int main(int argc, char** argv) {
           args, "fig5_stochastic_variation", {"ufmc", "runs", "jitter", "straggler", "run-noise"}))
     return rc;
   bench::banner("Fig. 5 / Tables 2-3 — stochastic variation",
-                "paper Section 4.1");
+                "paper Section 4.1",
+                bench::Timings::kVirtual);
   const auto runs = static_cast<index_t>(args.get_int("runs", 200));
   const value_t jitter = args.get_double("jitter", 0.20);
   const value_t straggler = args.get_double("straggler", 0.05);

@@ -33,7 +33,8 @@ int main(int argc, char** argv) {
           args, "fig6_convergence_async1", {"ufmc", "csv", "iters"}))
     return rc;
   bench::banner("Fig. 6 — convergence of async-(1) vs Gauss-Seidel/Jacobi",
-                "paper Section 4.2");
+                "paper Section 4.2",
+                bench::Timings::kVirtual);
   const bool csv = args.has("csv");
 
   for (const TestProblem& p : make_paper_suite(bench::ufmc_dir(args))) {

@@ -35,7 +35,8 @@ int main(int argc, char** argv) {
           args, "fig7_convergence_async5", {"ufmc", "csv", "iters"}))
     return rc;
   bench::banner("Fig. 7 — convergence of async-(5) vs Gauss-Seidel",
-                "paper Section 4.3");
+                "paper Section 4.3",
+                bench::Timings::kVirtual);
   const bool csv = args.has("csv");
 
   for (const TestProblem& p : make_paper_suite(bench::ufmc_dir(args))) {

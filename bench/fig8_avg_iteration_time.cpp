@@ -16,7 +16,8 @@ int main(int argc, char** argv) {
           args, "fig8_avg_iteration_time", {}))
     return rc;
   bench::banner("Fig. 8 — average iteration time vs total iterations (fv3)",
-                "paper Section 4.3, Fig. 8");
+                "paper Section 4.3, Fig. 8",
+                bench::Timings::kVirtual);
 
   const gpusim::CostModel model = gpusim::CostModel::calibrated_to_paper();
   const gpusim::MatrixShape fv3{"fv3", 9801, 87025};

@@ -42,7 +42,8 @@ int main(int argc, char** argv) {
           args, "fig9_residual_vs_time", {"ufmc", "tol", "csv"}))
     return rc;
   bench::banner("Fig. 9 — residual vs (virtual) runtime",
-                "paper Section 4.4");
+                "paper Section 4.4",
+                bench::Timings::kVirtual);
   const value_t tol = args.get_double("tol", 1e-12);
   const gpusim::CostModel model = gpusim::CostModel::calibrated_to_paper();
 

@@ -19,7 +19,8 @@ int main(int argc, char** argv) {
   if (const int rc = bench::require_known_flags(
           args, "table1_matrices", {"ufmc", "skip-cond"}))
     return rc;
-  bench::banner("Table 1 — test matrices", "paper Table 1 (Section 3.1)");
+  bench::banner("Table 1 — test matrices", "paper Table 1 (Section 3.1)",
+                bench::Timings::kVirtual);
   const bool skip_cond = args.has("skip-cond");
 
   report::Table t({"matrix", "n(paper)", "n", "nnz(paper)", "nnz",

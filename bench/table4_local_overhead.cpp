@@ -16,7 +16,8 @@ int main(int argc, char** argv) {
           args, "table4_local_overhead", {}))
     return rc;
   bench::banner("Table 4 — overhead of local iterations (fv3)",
-                "paper Section 4.3, Table 4");
+                "paper Section 4.3, Table 4",
+                bench::Timings::kVirtual);
 
   const gpusim::CostModel model = gpusim::CostModel::calibrated_to_paper();
   const gpusim::MatrixShape fv3{"fv3", 9801, 87025};

@@ -18,7 +18,8 @@ int main(int argc, char** argv) {
           args, "table5_iteration_timings", {}))
     return rc;
   bench::banner("Table 5 — average iteration timings",
-                "paper Section 4.3, Table 5");
+                "paper Section 4.3, Table 5",
+                bench::Timings::kVirtual);
 
   const gpusim::CostModel model = gpusim::CostModel::calibrated_to_paper();
 

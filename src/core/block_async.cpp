@@ -6,7 +6,6 @@
 #include <stdexcept>
 
 #include "backend/registry.hpp"
-#include "gpusim/incremental_residual.hpp"
 #include "sparse/vector_ops.hpp"
 #include "telemetry/probe.hpp"
 
@@ -103,16 +102,9 @@ BlockAsyncResult block_async_solve_with_kernel(const Csr& a, const Vector& b,
   exec.seed = opts.seed;
   exec.pattern_seed = opts.pattern_seed;
   exec.run_noise = opts.run_noise;
-  exec.fault = opts.fault;
   exec.scenario = opts.scenario;
   exec.resilience = opts.resilience;
   exec.num_workers = opts.num_workers;
-  exec.residual_refresh_every = opts.residual_refresh_every;
-  std::optional<gpusim::IncrementalResidual> tracker;
-  if (opts.incremental_residual && !opts.resilience) {
-    tracker.emplace(a, b, part);
-    exec.residual_tracker = &*tracker;
-  }
 
   BlockAsyncResult out;
   out.solve.x = x0 ? *x0 : Vector(b.size(), 0.0);

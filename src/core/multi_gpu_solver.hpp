@@ -6,7 +6,7 @@
 #include "backend/kernel_backend.hpp"
 #include "core/solver_types.hpp"
 #include "gpusim/cost_model.hpp"
-#include "gpusim/multi_device.hpp"
+#include "gpusim/async_executor.hpp"
 
 /// \file multi_gpu_solver.hpp
 /// Front-end for the multi-GPU block-asynchronous iteration (paper
@@ -34,9 +34,7 @@ struct MultiGpuOptions {
   value_t straggler_prob = 0.05;
   value_t straggler_factor = 2.0;
   std::uint64_t seed = 99;
-  /// Legacy single-event failure; ignored when `scenario` is set.
-  std::optional<gpusim::FaultPlan> fault{};
-  /// Composable fault timeline incl. device dropout and link failures.
+  /// Fault timeline incl. device dropout and link failures.
   std::optional<resilience::FaultScenario> scenario{};
   /// Active recovery layer (see docs/RESILIENCE.md).
   std::optional<resilience::Policy> resilience{};

@@ -6,8 +6,8 @@
 
 #include "common/solver_status.hpp"
 #include "gpusim/block_kernel.hpp"
-#include "gpusim/fault.hpp"
 #include "gpusim/stopping.hpp"
+#include "gpusim/topology.hpp"
 #include "gpusim/trace.hpp"
 #include "resilience/recovery.hpp"
 #include "resilience/scenario.hpp"
@@ -15,10 +15,10 @@
 #include "telemetry/options.hpp"
 
 /// \file async_executor.hpp
-/// Discrete-event simulator of one GPU running an asynchronous
-/// block-relaxation kernel (paper Section 3.3).
+/// Discrete-event simulator of one or more GPUs running an asynchronous
+/// block-relaxation kernel (paper Sections 3.3, 3.4 and 4.6).
 ///
-/// Execution model: the device has `concurrent_slots` multiprocessors.
+/// Execution model: each device has `concurrent_slots` multiprocessors.
 /// Ready blocks start in scheduler order as slots free up. A block
 /// execution is split into a START event (halo snapshot at virtual time
 /// t) and a WRITE event (commit at t + duration). Between a block's
@@ -27,10 +27,27 @@
 /// realized by the seeded event interleaving. Durations carry seeded
 /// jitter and occasional stragglers, mimicking the non-deterministic
 /// GPU-internal scheduling the paper studies in Section 4.1.
+///
+/// Multiple devices split the block set contiguously; each runs the
+/// same model on its own blocks. With `transfer` set, each device
+/// computes on its own view of the iterate and the communication
+/// scheme decides when a remote segment becomes visible and what each
+/// sweep costs on which link:
+///
+///  - AMC: at each device-sweep end the device uploads its segment to
+///    the host (own PCIe link, short stall), the host forwards it to the
+///    other devices on their links. Cross-socket traffic pays a QPI
+///    visibility latency.
+///  - DC: at each sweep end the device pushes its segment to the master
+///    GPU and pulls the canonical vector back before its next sweep; all
+///    traffic serializes on the master's PCIe link, with a per-transfer
+///    GPU-direct sync overhead.
+///  - DK: a single canonical vector lives on the master; non-master
+///    kernels read/write it remotely, inflating their execution time by
+///    a penalty factor but making updates immediately visible.
 
 namespace bars::gpusim {
 
-class IncrementalResidual;
 class WorkerPool;
 
 /// How the device orders ready blocks.
@@ -42,6 +59,17 @@ enum class SchedulePolicy {
   kJittered,
   /// Like kJittered, plus a fresh random block permutation each sweep.
   kShuffled,
+};
+
+/// Inter-device communication of a multi-GPU run (paper Section 3.4).
+struct TransferOptions {
+  TransferScheme scheme = TransferScheme::kAMC;
+  TransferParams params{};
+  /// Host staging synchronization per AMC sweep (stream sync).
+  value_t amc_host_sync_overhead_s = 1.0e-3;
+  /// Base delay of the exponential backoff applied when a sweep-end
+  /// transfer hits a failed link (doubles per consecutive failure).
+  value_t link_retry_backoff_s = 1.0e-3;
 };
 
 struct ExecutorOptions {
@@ -58,8 +86,16 @@ struct ExecutorOptions {
   /// branch per commit.
   telemetry::TelemetryOptions telemetry{};
 
-  index_t concurrent_slots = 14;  ///< multiprocessors (C2070: 14)
-  /// Virtual seconds for one *global* iteration (all blocks once);
+  /// Simulated GPUs (1..8); the block set is split contiguously.
+  index_t num_devices = 1;
+  /// Unset: every device reads and writes the iterate directly (the
+  /// single-GPU model; device dropout and link-failure events are
+  /// ignored). Set: each device computes on its own view, synchronized
+  /// by the scheme at device-sweep ends (see the file comment).
+  std::optional<TransferOptions> transfer;
+
+  index_t concurrent_slots = 14;  ///< multiprocessors per device (C2070: 14)
+  /// Virtual seconds for one device to run all q blocks once;
   /// per-block duration is derived as global_iteration_time *
   /// concurrent_slots / num_blocks (capped at num_blocks).
   value_t global_iteration_time = 1.0e-2;
@@ -67,9 +103,10 @@ struct ExecutorOptions {
   value_t straggler_prob = 0.05;    ///< chance a block is delayed...
   value_t straggler_factor = 2.0;   ///< ...by this duration factor
   /// Chazan-Miranker condition 2 (bounded shift): a block may not run
-  /// more than this many generations ahead of the slowest block. The
-  /// GPU's greedy block scheduler provides the same guarantee because
-  /// every queued block eventually gets a multiprocessor.
+  /// more than this many generations ahead of the slowest block on its
+  /// device. The GPU's greedy block scheduler provides the same
+  /// guarantee because every queued block eventually gets a
+  /// multiprocessor.
   index_t max_generation_skew = 2;
   /// Point within a block's execution at which the halo is read, as a
   /// fraction of the execution duration. 0 = most pessimistic (read at
@@ -91,11 +128,8 @@ struct ExecutorOptions {
   value_t run_noise = 2.0e-3;
   /// Record one TraceEvent per block execution (memory ~ O(executions)).
   bool record_trace = false;
-  /// Legacy single-event failure (Section 4.5); adapted onto `scenario`
-  /// internally. Ignored when `scenario` is set.
-  std::optional<FaultPlan> fault;
-  /// Composable fault timeline (component failures, halo corruption;
-  /// device/link events are multi-GPU-only and ignored here).
+  /// Fault timeline (Section 4.5 component failures, halo corruption;
+  /// device dropout and link failures act only when `transfer` is set).
   std::optional<resilience::FaultScenario> scenario;
   /// Active recovery: checkpoint/rollback, online SDC detection,
   /// watchdog supervision. Unset = plain run (legacy behavior).
@@ -106,22 +140,11 @@ struct ExecutorOptions {
   /// worker pool (their owned row ranges are disjoint) and committed
   /// in deterministic event order, so results — iterate, histories,
   /// trace — are bit-identical to the serial path. Requires
-  /// kernel.parallel_commit_safe(); fault timelines and resilience
-  /// policies automatically fall back to serial commits because their
-  /// iteration boundaries may mutate state mid-batch. 0 or 1 = serial.
+  /// kernel.parallel_commit_safe(), one device and no `transfer`; fault
+  /// timelines and resilience policies automatically fall back to
+  /// serial commits because their iteration boundaries may mutate state
+  /// mid-batch. 0 or 1 = serial.
   index_t num_workers = 0;
-
-  /// Non-owning incremental residual tracker (see
-  /// incremental_residual.hpp). When set — and no resilience policy is
-  /// active, since rollbacks rewrite the iterate behind the tracker's
-  /// back — the iteration monitor consumes the incrementally
-  /// maintained relative residual instead of recomputing a full SpMV
-  /// each global iteration. An exact recompute re-anchors the tracker
-  /// every `residual_refresh_every` iterations, at the iteration
-  /// limit, and before any convergence/divergence verdict, bounding
-  /// the floating-point drift of recorded history entries.
-  IncrementalResidual* residual_tracker = nullptr;
-  index_t residual_refresh_every = 25;
 };
 
 struct ExecutorResult {
@@ -149,6 +172,11 @@ struct ExecutorResult {
   /// What the resilience layer did (checkpoints, rollbacks, watchdog
   /// actions); all-zero for plain runs.
   resilience::Report resilience;
+  /// Bytes moved and transfers made by the scheme (zero without
+  /// `transfer`).
+  value_t bytes_host_device = 0.0;
+  value_t bytes_device_device = 0.0;
+  index_t num_transfers = 0;
 };
 
 /// Runs the kernel to convergence (or max_global_iters) in virtual time.
@@ -158,8 +186,7 @@ class AsyncExecutor {
   ~AsyncExecutor();
 
   /// Iterate on x in place. residual_fn is called at most once per
-  /// global iteration with the current iterate (with an incremental
-  /// residual tracker configured, only at exact-recompute boundaries).
+  /// global iteration with the current iterate.
   ExecutorResult run(Vector& x,
                      const std::function<value_t(const Vector&)>& residual_fn);
 

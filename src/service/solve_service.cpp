@@ -298,6 +298,13 @@ void SolveService::worker_loop() {
         if (m_batches_ != nullptr) m_batches_->inc();
       }
     }
+    // Dispatch arms the hedge timer and the watchdog's stuck_at, both
+    // keyed to `dispatched`. A supervisor that evaluated while this
+    // attempt was still queued saw neither and may be waiting
+    // untimed, so wake it to re-arm.
+    if (opts_.retry.hedging || opts_.supervision.max_requeues > 0) {
+      supervisor_cv_.notify_one();
+    }
     execute_batch(std::move(batch));
   }
 }

@@ -48,7 +48,7 @@ class RowPartition {
 
   /// Dense row -> owning-block lookup table (size total_rows()):
   /// table[i] == block_of(i) with O(1) access. Built in O(n); callers
-  /// on a hot path (executor halo analysis, incremental residuals)
+  /// on a hot path (executor halo analysis, the service plan cache)
   /// build it once instead of calling block_of per row.
   [[nodiscard]] std::vector<index_t> owner_table() const;
 

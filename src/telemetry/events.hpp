@@ -70,7 +70,6 @@ struct BlockCommitEvent {
   value_t virtual_time = 0.0;
   /// Max |generation gap| to the halo sources read by this execution
   /// (the staleness the paper's Section 4.1 variance stems from).
-  /// 0 when the executor does not track per-read staleness.
   index_t staleness = 0;
 };
 

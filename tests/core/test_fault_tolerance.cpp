@@ -24,11 +24,8 @@ TEST(FaultTolerance, NoRecoveryStagnates) {
   const Csr a = test_matrix();
   const Vector b(static_cast<std::size_t>(a.rows()), 1.0);
   BlockAsyncOptions o = base_options();
-  gpusim::FaultPlan plan;
-  plan.fail_at = 10;
-  plan.fraction = 0.25;
-  plan.recover_after = std::nullopt;
-  o.fault = plan;
+  o.scenario = resilience::FaultScenario().fail_components(
+      10, 0.25, std::nullopt);
   const auto r = block_async_solve(a, b, o);
   EXPECT_FALSE(r.solve.ok());
   EXPECT_GT(r.solve.final_residual, 1e-6);
@@ -38,11 +35,7 @@ TEST(FaultTolerance, RecoveryRetrievesConvergence) {
   const Csr a = test_matrix();
   const Vector b(static_cast<std::size_t>(a.rows()), 1.0);
   BlockAsyncOptions o = base_options();
-  gpusim::FaultPlan plan;
-  plan.fail_at = 10;
-  plan.fraction = 0.25;
-  plan.recover_after = 10;
-  o.fault = plan;
+  o.scenario = resilience::FaultScenario().fail_components(10, 0.25, 10);
   const auto r = block_async_solve(a, b, o);
   EXPECT_TRUE(r.solve.ok());
 }
@@ -55,11 +48,7 @@ TEST(FaultTolerance, LongerRecoveryTimeDelaysConvergenceMore) {
   for (index_t tr : {0, 10, 20, 30}) {
     BlockAsyncOptions o = base_options();
     if (tr > 0) {
-      gpusim::FaultPlan plan;
-      plan.fail_at = 10;
-      plan.fraction = 0.25;
-      plan.recover_after = tr;
-      o.fault = plan;
+      o.scenario = resilience::FaultScenario().fail_components(10, 0.25, tr);
     }
     const auto r = block_async_solve(a, b, o);
     ASSERT_TRUE(r.solve.ok()) << "tr=" << tr;
@@ -78,12 +67,8 @@ TEST(FaultTolerance, FailedFractionRespected) {
   BlockAsyncOptions o = base_options();
   o.solve.max_iters = 15;
   o.solve.tol = 0.0;
-  gpusim::FaultPlan plan;
-  plan.fail_at = 5;
-  plan.fraction = 0.5;
-  plan.recover_after = std::nullopt;
-  plan.seed = 99;
-  o.fault = plan;
+  o.scenario = resilience::FaultScenario().fail_components(
+      5, 0.5, std::nullopt, 99);
   const auto faulty = block_async_solve(a, b, o);
   BlockAsyncOptions o2 = base_options();
   o2.solve.max_iters = 15;
@@ -97,11 +82,7 @@ TEST(FaultTolerance, RecoveredRunMatchesNoFailureSolution) {
   const Csr a = test_matrix();
   const Vector b(static_cast<std::size_t>(a.rows()), 1.0);
   BlockAsyncOptions o = base_options();
-  gpusim::FaultPlan plan;
-  plan.fail_at = 8;
-  plan.fraction = 0.25;
-  plan.recover_after = 15;
-  o.fault = plan;
+  o.scenario = resilience::FaultScenario().fail_components(8, 0.25, 15);
   const auto rec = block_async_solve(a, b, o);
   const auto clean = block_async_solve(a, b, base_options());
   ASSERT_TRUE(rec.solve.ok());
@@ -118,11 +99,8 @@ TEST(FaultTolerance, FullFractionFreezesTheWholeIterate) {
   const Vector b(static_cast<std::size_t>(a.rows()), 1.0);
   BlockAsyncOptions o = base_options();
   o.solve.max_iters = 60;
-  gpusim::FaultPlan plan;
-  plan.fail_at = 10;
-  plan.fraction = 1.0;
-  plan.recover_after = std::nullopt;
-  o.fault = plan;
+  o.scenario = resilience::FaultScenario().fail_components(
+      10, 1.0, std::nullopt);
   const auto r = block_async_solve(a, b, o);
   EXPECT_FALSE(r.solve.ok());
   ASSERT_GT(r.solve.residual_history.size(), 11u);
@@ -136,10 +114,8 @@ TEST(FaultTolerance, FailureBeyondIterationLimitIsInert) {
   const Vector b(static_cast<std::size_t>(a.rows()), 1.0);
   const auto clean = block_async_solve(a, b, base_options());
   BlockAsyncOptions o = base_options();
-  gpusim::FaultPlan plan;
-  plan.fail_at = o.solve.max_iters + 100;
-  plan.fraction = 0.5;
-  o.fault = plan;
+  o.scenario = resilience::FaultScenario().fail_components(
+      o.solve.max_iters + 100, 0.5);
   const auto r = block_async_solve(a, b, o);
   EXPECT_EQ(r.solve.iterations, clean.solve.iterations);
   ASSERT_EQ(r.solve.residual_history.size(),
@@ -156,11 +132,7 @@ TEST(FaultTolerance, ZeroRecoveryDelayIsInert) {
   const Vector b(static_cast<std::size_t>(a.rows()), 1.0);
   const auto clean = block_async_solve(a, b, base_options());
   BlockAsyncOptions o = base_options();
-  gpusim::FaultPlan plan;
-  plan.fail_at = 10;
-  plan.fraction = 0.5;
-  plan.recover_after = 0;
-  o.fault = plan;
+  o.scenario = resilience::FaultScenario().fail_components(10, 0.5, 0);
   const auto r = block_async_solve(a, b, o);
   EXPECT_EQ(r.solve.iterations, clean.solve.iterations);
   ASSERT_EQ(r.solve.residual_history.size(),

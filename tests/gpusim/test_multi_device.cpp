@@ -1,11 +1,16 @@
-#include "gpusim/multi_device.hpp"
+/// Multi-device runs of the discrete-event executor (paper Sections 3.4
+/// and 4.6): every device runs the single-GPU model on its own blocks
+/// and the transfer scheme decides when remote segments become visible.
 
 #include <gtest/gtest.h>
 
-#include "core/block_jacobi_kernel.hpp"
+#include "backend/block_jacobi_kernel.hpp"
 #include "core/solver_types.hpp"
+#include "gpusim/async_executor.hpp"
 #include "matrices/generators.hpp"
+#include "resilience/scenario.hpp"
 #include "sparse/partition.hpp"
+#include "verify/invariants.hpp"
 
 namespace bars::gpusim {
 namespace {
@@ -25,15 +30,21 @@ struct Fixture {
   }
 };
 
-MultiDeviceResult run_with(Fixture& s, TransferScheme scheme, index_t devices,
-                           index_t max_iters = 5000, value_t tol = 1e-11) {
-  MultiDeviceOptions o;
+ExecutorOptions multi(index_t devices, TransferScheme scheme) {
+  ExecutorOptions o;
   o.num_devices = devices;
-  o.scheme = scheme;
+  o.transfer = TransferOptions{scheme};
+  o.max_generation_skew = 4;
+  return o;
+}
+
+ExecutorResult run_with(Fixture& s, TransferScheme scheme, index_t devices,
+                        index_t max_iters = 5000, value_t tol = 1e-11) {
+  ExecutorOptions o = multi(devices, scheme);
   o.stopping.max_global_iters = max_iters;
   o.stopping.tol = tol;
   o.seed = 77;
-  MultiDeviceExecutor ex(s.kernel, o);
+  AsyncExecutor ex(s.kernel, o);
   Vector x(s.b.size(), 0.0);
   return ex.run(x, [&](const Vector& v) { return s.residual(v); });
 }
@@ -106,21 +117,18 @@ TEST(MultiDevice, ResultMatchesSolutionAcrossSchemes) {
   const Vector ref = [&] {
     auto r = run_with(s, TransferScheme::kAMC, 1);
     Vector x(s.b.size(), 0.0);
-    MultiDeviceOptions o;
-    o.num_devices = 1;
+    ExecutorOptions o = multi(1, TransferScheme::kAMC);
     o.stopping.tol = 1e-12;
     o.stopping.max_global_iters = 20000;
-    MultiDeviceExecutor ex(s.kernel, o);
+    AsyncExecutor ex(s.kernel, o);
     (void)ex.run(x, [&](const Vector& v) { return s.residual(v); });
     return x;
   }();
   for (auto scheme : {TransferScheme::kDC, TransferScheme::kDK}) {
-    MultiDeviceOptions o;
-    o.num_devices = 3;
-    o.scheme = scheme;
+    ExecutorOptions o = multi(3, scheme);
     o.stopping.tol = 1e-12;
     o.stopping.max_global_iters = 20000;
-    MultiDeviceExecutor ex(s.kernel, o);
+    AsyncExecutor ex(s.kernel, o);
     Vector x(s.b.size(), 0.0);
     (void)ex.run(x, [&](const Vector& v) { return s.residual(v); });
     for (std::size_t i = 0; i < x.size(); ++i) {
@@ -131,20 +139,62 @@ TEST(MultiDevice, ResultMatchesSolutionAcrossSchemes) {
 
 TEST(MultiDevice, RejectsBadOptions) {
   Fixture s;
-  MultiDeviceOptions o;
-  o.num_devices = 0;
-  EXPECT_THROW(MultiDeviceExecutor(s.kernel, o), std::invalid_argument);
+  ExecutorOptions o = multi(0, TransferScheme::kAMC);
+  EXPECT_THROW(AsyncExecutor(s.kernel, o), std::invalid_argument);
   o.num_devices = 9;
-  EXPECT_THROW(MultiDeviceExecutor(s.kernel, o), std::invalid_argument);
+  EXPECT_THROW(AsyncExecutor(s.kernel, o), std::invalid_argument);
   o.num_devices = 2;
   o.global_iteration_time = -1.0;
-  EXPECT_THROW(MultiDeviceExecutor(s.kernel, o), std::invalid_argument);
+  EXPECT_THROW(AsyncExecutor(s.kernel, o), std::invalid_argument);
 }
 
 TEST(MultiDevice, MoreDevicesThanBlocksClamps) {
   Fixture s(6, 18, 1);  // n = 36: only 2 blocks
   const auto r = run_with(s, TransferScheme::kAMC, 4);
   EXPECT_TRUE(r.ok());
+}
+
+// Commit-ledger invariants on multi-device runs: every block's commits
+// arrive with gapless generations and virtual time never runs
+// backwards. The staleness bound stays off (0): skew is bounded only
+// within a device, not across devices.
+void expect_clean_ledger(const Fixture& s, ExecutorOptions o,
+                         const std::string& label) {
+  verify::CommitLedger ledger(s.kernel.num_blocks());
+  o.telemetry.observer = &ledger;
+  o.stopping.max_global_iters = 60;
+  o.stopping.tol = 0.0;
+  o.seed = 13;
+  AsyncExecutor ex(s.kernel, o);
+  Vector x(s.b.size(), 0.0);
+  const auto r = ex.run(x, [&](const Vector& v) { return s.residual(v); });
+  index_t commits = 0;
+  for (index_t c : r.block_executions) commits += c;
+  EXPECT_EQ(ledger.total_commits(), commits) << label;
+  EXPECT_GE(r.global_iterations, 60) << label;
+  for (const std::string& e : ledger.errors()) {
+    ADD_FAILURE() << label << ": " << e;
+  }
+}
+
+TEST(MultiDevice, CommitLedgerHoldsForEverySchemeAndDeviceCount) {
+  Fixture s;
+  for (auto scheme :
+       {TransferScheme::kAMC, TransferScheme::kDC, TransferScheme::kDK}) {
+    for (index_t d = 2; d <= 4; ++d) {
+      expect_clean_ledger(
+          s, multi(d, scheme),
+          to_string(scheme) + " on " + std::to_string(d) + " devices");
+    }
+  }
+}
+
+TEST(MultiDevice, CommitLedgerHoldsThroughDropoutAndRejoin) {
+  Fixture s;
+  ExecutorOptions o = multi(3, TransferScheme::kAMC);
+  o.scenario = resilience::FaultScenario().drop_device(/*at=*/5, /*device=*/1,
+                                                        /*rejoin_after=*/10);
+  expect_clean_ledger(s, o, "AMC dropout/rejoin");
 }
 
 }  // namespace

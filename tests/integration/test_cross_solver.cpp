@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 
 #include "core/block_async.hpp"
 #include "core/cg.hpp"
@@ -20,6 +21,10 @@ struct CaseSpec {
   const char* name;
   Csr (*make)();
 };
+
+// Without a printer gtest shows the raw bytes of the two pointers, so
+// the listed test names would change with every load address.
+void PrintTo(const CaseSpec& spec, std::ostream* os) { *os << spec.name; }
 
 Csr make_fv() { return fv_like(12, 0.7); }
 Csr make_tref() { return trefethen(150); }

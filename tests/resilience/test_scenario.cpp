@@ -32,9 +32,8 @@ TEST(ScenarioTimeline, EventActiveExactlyInsideWindow) {
 }
 
 TEST(ScenarioTimeline, ZeroDurationNeverObserved) {
-  // recover_after = 0 matches the legacy FaultPlan semantics: the
-  // activation and the reassignment coincide, so no write ever sees
-  // the mask.
+  // recover_after = 0: the activation and the reassignment coincide,
+  // so no write ever sees the mask.
   resilience::FaultScenario s;
   s.fail_components(5, 0.5, 0);
   resilience::ScenarioTimeline t(s, 100);
@@ -138,26 +137,27 @@ BlockAsyncOptions base_options() {
   return o;
 }
 
-TEST(ScenarioSolve, LegacyPlanAndOneEventScenarioAreBitIdentical) {
-  // The FaultPlan adapter must reproduce the legacy single-event run
-  // exactly (same seed -> same mask -> same residual trajectory).
+TEST(ScenarioSolve, PaperFailureEventDefaultsToSeed1234) {
+  // Call sites of the paper's single failure event (fig10, the
+  // fault-tolerance tests) omit the seed; the default must be the
+  // seed-1234 mask those runs have always used, bit for bit.
   const Csr a = test_matrix();
   const Vector b(static_cast<std::size_t>(a.rows()), 1.0);
-  BlockAsyncOptions legacy = base_options();
-  gpusim::FaultPlan plan;
-  plan.fail_at = 10;
-  plan.fraction = 0.25;
-  plan.recover_after = 15;
-  legacy.fault = plan;
-  BlockAsyncOptions scripted = base_options();
-  scripted.scenario = gpusim::to_scenario(plan);
-  const auto r1 = block_async_solve(a, b, legacy);
-  const auto r2 = block_async_solve(a, b, scripted);
-  ASSERT_EQ(r1.solve.residual_history.size(),
-            r2.solve.residual_history.size());
-  for (std::size_t i = 0; i < r1.solve.residual_history.size(); ++i) {
-    EXPECT_EQ(r1.solve.residual_history[i], r2.solve.residual_history[i]);
-  }
+  BlockAsyncOptions defaulted = base_options();
+  defaulted.scenario =
+      resilience::FaultScenario().fail_components(10, 0.25, 15);
+  BlockAsyncOptions explicit_seed = base_options();
+  explicit_seed.scenario =
+      resilience::FaultScenario().fail_components(10, 0.25, 15, 1234);
+  BlockAsyncOptions other_seed = base_options();
+  other_seed.scenario =
+      resilience::FaultScenario().fail_components(10, 0.25, 15, 1235);
+  const auto r1 = block_async_solve(a, b, defaulted);
+  const auto r2 = block_async_solve(a, b, explicit_seed);
+  const auto r3 = block_async_solve(a, b, other_seed);
+  EXPECT_EQ(r1.solve.residual_history, r2.solve.residual_history);
+  EXPECT_EQ(r1.solve.x, r2.solve.x);
+  EXPECT_NE(r1.solve.residual_history, r3.solve.residual_history);
 }
 
 TEST(ScenarioSolve, TwoFailureWavesRecoverToFaultFreeAccuracy) {
