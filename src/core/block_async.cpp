@@ -40,9 +40,8 @@ std::vector<index_t> adaptive_local_iter_counts(const Csr& a,
   return counts;
 }
 
-BlockAsyncResult block_async_solve(const Csr& a, const Vector& b,
-                                   const BlockAsyncOptions& opts,
-                                   const Vector* x0) {
+std::unique_ptr<backend::BlockSweepKernel> make_block_async_kernel(
+    const Csr& a, const Vector& b, const BlockAsyncOptions& opts) {
   if (a.rows() != a.cols() ||
       static_cast<index_t>(b.size()) != a.rows()) {
     throw std::invalid_argument("block_async_solve: dimension mismatch");
@@ -50,19 +49,23 @@ BlockAsyncResult block_async_solve(const Csr& a, const Vector& b,
   if (opts.block_size <= 0) {
     throw std::invalid_argument("block_async_solve: block_size must be > 0");
   }
-
   const RowPartition part = RowPartition::uniform(a.rows(), opts.block_size);
-  const std::unique_ptr<backend::BlockSweepKernel> kernel =
-      backend::build_kernel(
-          opts.backend, a, b, part,
-          {opts.local_iters, opts.local_sweep, opts.local_omega,
-           opts.overlap},
-          opts.solve.telemetry.metrics);
+  std::unique_ptr<backend::BlockSweepKernel> kernel = backend::build_kernel(
+      opts.backend, a, b, part,
+      {opts.local_iters, opts.local_sweep, opts.local_omega, opts.overlap},
+      opts.solve.telemetry.metrics);
   if (opts.adaptive_local_iters) {
     kernel->set_per_block_iters(
         adaptive_local_iter_counts(a, part, opts.local_iters));
   }
-  return block_async_solve_with_kernel(a, b, *kernel, opts, x0);
+  return kernel;
+}
+
+BlockAsyncResult block_async_solve(const Csr& a, const Vector& b,
+                                   const BlockAsyncOptions& opts,
+                                   const Vector* x0) {
+  return block_async_solve_with_kernel(
+      a, b, *make_block_async_kernel(a, b, opts), opts, x0);
 }
 
 BlockAsyncResult block_async_solve_with_kernel(const Csr& a, const Vector& b,
@@ -87,6 +90,11 @@ BlockAsyncResult block_async_solve_with_kernel(const Csr& a, const Vector& b,
   const gpusim::MatrixShape shape{opts.matrix_name, a.rows(), a.nnz()};
 
   gpusim::ExecutorOptions exec;
+  exec.num_devices = opts.num_devices;
+  exec.transfer = opts.transfer;
+  // Fig. 11 is calibrated with a looser per-device skew gate than the
+  // single-GPU default.
+  if (opts.transfer) exec.max_generation_skew = 4;
   exec.stopping.max_global_iters = opts.solve.max_iters;
   exec.stopping.tol = opts.solve.tol;
   exec.stopping.divergence_limit = opts.solve.divergence_limit;
@@ -129,12 +137,16 @@ BlockAsyncResult block_async_solve_with_kernel(const Csr& a, const Vector& b,
   out.block_executions = std::move(r.block_executions);
   out.max_staleness = r.max_staleness;
   out.resilience = std::move(r.resilience);
+  out.virtual_time = r.virtual_time;
+  out.bytes_host_device = r.bytes_host_device;
+  out.bytes_device_device = r.bytes_device_device;
+  out.num_transfers = r.num_transfers;
 
   index_t commits = 0;
   for (index_t c : out.block_executions) commits += c;
   probe.finish(out.solve.status, out.solve.iterations,
                out.solve.final_residual, commits, out.max_staleness,
-               r.virtual_time,
+               out.virtual_time,
                out.resilience.rollbacks + out.resilience.damped_restarts);
   return out;
 }
@@ -145,30 +157,11 @@ std::vector<BlockAsyncResult> block_async_solve_multi(
   if (bs.empty()) {
     throw std::invalid_argument("block_async_solve_multi: no right-hand sides");
   }
-  if (a.rows() != a.cols() ||
-      static_cast<index_t>(bs.front().size()) != a.rows()) {
-    throw std::invalid_argument("block_async_solve_multi: dimension mismatch");
-  }
-  if (opts.block_size <= 0) {
-    throw std::invalid_argument(
-        "block_async_solve_multi: block_size must be > 0");
-  }
-
   // The expensive part — partition + per-block analysis — happens once;
   // each RHS then replays the same (value-independent, seeded) executor
   // schedule, so every result is bit-identical to its standalone solve.
-  const RowPartition part = RowPartition::uniform(a.rows(), opts.block_size);
   const std::unique_ptr<backend::BlockSweepKernel> kernel =
-      backend::build_kernel(
-          opts.backend, a, bs.front(), part,
-          {opts.local_iters, opts.local_sweep, opts.local_omega,
-           opts.overlap},
-          opts.solve.telemetry.metrics);
-  if (opts.adaptive_local_iters) {
-    kernel->set_per_block_iters(
-        adaptive_local_iter_counts(a, part, opts.local_iters));
-  }
-
+      make_block_async_kernel(a, bs.front(), opts);
   std::vector<BlockAsyncResult> out;
   out.reserve(bs.size());
   for (const Vector& b : bs) {

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <memory>
 #include <optional>
 #include <span>
 #include <string>
@@ -11,8 +12,9 @@
 
 /// \file block_async.hpp
 /// The paper's primary contribution: async-(local_iters) — the
-/// block-asynchronous relaxation method of Section 3.3, executed on the
-/// simulated GPU (gpusim::AsyncExecutor) with virtual-time bookkeeping.
+/// block-asynchronous relaxation method of Section 3.3, executed on one
+/// or more simulated GPUs (gpusim::AsyncExecutor; Sections 3.4 and 4.6
+/// for the multi-GPU schemes) with virtual-time bookkeeping.
 
 namespace bars {
 
@@ -46,7 +48,16 @@ struct BlockAsyncOptions {
   std::string backend = "scalar";
 
   gpusim::SchedulePolicy policy = gpusim::SchedulePolicy::kJittered;
+  /// Multiprocessors per simulated GPU (C2070: 14).
   index_t concurrent_slots = 14;
+  /// Simulated GPUs (1..8); the block set is split contiguously.
+  index_t num_devices = 1;
+  /// Inter-device communication scheme (AMC/DC/DK, paper Section 3.4).
+  /// Unset: every device reads and writes the iterate directly. Set:
+  /// each device computes on its own view, and the run uses the looser
+  /// per-device skew gate (4 generations) that Fig. 11 is calibrated
+  /// with.
+  std::optional<gpusim::TransferOptions> transfer{};
   value_t jitter = 0.20;
   value_t straggler_prob = 0.05;
   value_t straggler_factor = 2.0;
@@ -63,8 +74,8 @@ struct BlockAsyncOptions {
   std::optional<resilience::Policy> resilience{};
 
   /// > 1 runs same-virtual-time block commits concurrently on a worker
-  /// pool (bit-identical results; see gpusim::ExecutorOptions). 0 or 1
-  /// keeps the serial event loop.
+  /// pool (bit-identical results; one device without `transfer` only,
+  /// see gpusim::ExecutorOptions). 0 or 1 keeps the serial event loop.
   index_t num_workers = 0;
 
   /// Matrix name for the cost model's calibration lookup; empty uses
@@ -84,6 +95,13 @@ struct BlockAsyncResult {
   index_t max_staleness = 0;
   /// Resilience activity (all-zero for plain runs).
   resilience::Report resilience;
+  /// Virtual time at stop — the quantity plotted in Fig. 11.
+  value_t virtual_time = 0.0;
+  /// Bytes moved and transfers made by the scheme (zero without
+  /// `transfer`).
+  value_t bytes_host_device = 0.0;
+  value_t bytes_device_device = 0.0;
+  index_t num_transfers = 0;
 };
 
 /// Solve A x = b with async-(local_iters). Residual history entries are
@@ -115,6 +133,16 @@ struct BlockAsyncResult {
 [[nodiscard]] std::vector<BlockAsyncResult> block_async_solve_multi(
     const Csr& a, std::span<const Vector> bs,
     const BlockAsyncOptions& opts = {}, const Vector* x0 = nullptr);
+
+/// Build the block-sweep kernel `opts` describes for (a, b): uniform
+/// partition of opts.block_size rows, opts.backend with the local sweep
+/// configuration, and the adaptive per-block sweep counts when
+/// opts.adaptive_local_iters is set. The result satisfies the
+/// block_async_solve_with_kernel precondition for `opts`. Throws
+/// std::invalid_argument on a dimension mismatch or block_size <= 0.
+[[nodiscard]] std::unique_ptr<backend::BlockSweepKernel>
+make_block_async_kernel(const Csr& a, const Vector& b,
+                        const BlockAsyncOptions& opts);
 
 /// The adaptive sweep-count heuristic used by
 /// BlockAsyncOptions::adaptive_local_iters, exposed for inspection:

@@ -4,10 +4,8 @@
 #include <limits>
 #include <memory>
 #include <stdexcept>
+#include <utility>
 
-#include "backend/registry.hpp"
-#include "gpusim/async_executor.hpp"
-#include "sparse/vector_ops.hpp"
 #include "stats/rng.hpp"
 
 namespace bars {
@@ -15,11 +13,11 @@ namespace bars {
 namespace {
 
 /// Kernel decorator that injects one silent corruption into the shared
-/// iterate after the trigger iteration. Single-threaded executor =>
-/// mutable counters are safe.
-class SdcKernel final : public gpusim::BlockKernel {
+/// iterate after the trigger iteration. update() counts calls in
+/// mutable state, so the decorator opts out of parallel commits.
+class SdcKernel final : public backend::BlockSweepKernel {
  public:
-  SdcKernel(const gpusim::BlockKernel& inner, SilentErrorPlan plan)
+  SdcKernel(backend::BlockSweepKernel& inner, SilentErrorPlan plan)
       : inner_(inner), plan_(plan) {
     if (plan_.component >= inner.num_rows()) {
       throw std::invalid_argument("SilentErrorPlan: component out of range");
@@ -56,9 +54,33 @@ class SdcKernel final : public gpusim::BlockKernel {
       injected_ = true;
     }
   }
+  [[nodiscard]] bool parallel_commit_safe() const override { return false; }
+
+  void set_rhs(const Vector& b) override { inner_.set_rhs(b); }
+  [[nodiscard]] const Vector& rhs() const noexcept override {
+    return inner_.rhs();
+  }
+  [[nodiscard]] const RowPartition& partition() const noexcept override {
+    return inner_.partition();
+  }
+  [[nodiscard]] index_t local_iters() const noexcept override {
+    return inner_.local_iters();
+  }
+  [[nodiscard]] index_t overlap() const noexcept override {
+    return inner_.overlap();
+  }
+  void set_per_block_iters(std::vector<index_t> per_block) override {
+    inner_.set_per_block_iters(std::move(per_block));
+  }
+  [[nodiscard]] index_t block_local_iters(index_t block) const override {
+    return inner_.block_local_iters(block);
+  }
+  [[nodiscard]] std::string_view backend_name() const noexcept override {
+    return inner_.backend_name();
+  }
 
  private:
-  const gpusim::BlockKernel& inner_;
+  backend::BlockSweepKernel& inner_;
   SilentErrorPlan plan_;
   mutable index_t updates_ = 0;
   mutable bool injected_ = false;
@@ -100,56 +122,17 @@ SilentErrorReport detect_silent_error(const std::vector<value_t>& history,
 SdcRunResult block_async_solve_with_sdc(
     const Csr& a, const Vector& b, const BlockAsyncOptions& opts,
     const std::optional<SilentErrorPlan>& sdc) {
-  // Mirror block_async_solve but wrap the kernel with the injector.
-  if (a.rows() != a.cols() ||
-      static_cast<index_t>(b.size()) != a.rows()) {
-    throw std::invalid_argument(
-        "block_async_solve_with_sdc: dimension mismatch");
-  }
-  const RowPartition part = RowPartition::uniform(a.rows(), opts.block_size);
   const std::unique_ptr<backend::BlockSweepKernel> base =
-      backend::build_kernel(
-          opts.backend, a, b, part,
-          {opts.local_iters, opts.local_sweep, opts.local_omega,
-           opts.overlap},
-          opts.solve.telemetry.metrics);
+      make_block_async_kernel(a, b, opts);
+  backend::BlockSweepKernel* kernel = base.get();
   std::optional<SdcKernel> wrapped;
-  const gpusim::BlockKernel* kernel = base.get();
-  if (sdc) {
-    wrapped.emplace(*base, *sdc);
-    kernel = &*wrapped;
-  }
-
-  static const gpusim::CostModel kModel =
-      gpusim::CostModel::calibrated_to_paper();
-  const gpusim::MatrixShape shape{opts.matrix_name, a.rows(), a.nnz()};
-  gpusim::ExecutorOptions exec;
-  exec.stopping.max_global_iters = opts.solve.max_iters;
-  exec.stopping.tol = opts.solve.tol;
-  exec.stopping.divergence_limit = opts.solve.divergence_limit;
-  exec.telemetry = opts.solve.telemetry;
-  exec.concurrent_slots = opts.concurrent_slots;
-  exec.global_iteration_time =
-      kModel.gpu_block_async_iteration(shape, opts.local_iters);
-  exec.jitter = opts.jitter;
-  exec.seed = opts.seed;
-  exec.scenario = opts.scenario;
-  exec.resilience = opts.resilience;
+  if (sdc) kernel = &wrapped.emplace(*base, *sdc);
+  // The detector reads the residual history, so it is always recorded.
+  BlockAsyncOptions run = opts;
+  run.solve.record_history = true;
 
   SdcRunResult out;
-  out.solve.solve.x = Vector(b.size(), 0.0);
-  gpusim::AsyncExecutor executor(*kernel, exec);
-  gpusim::ExecutorResult r = executor.run(
-      out.solve.solve.x,
-      [&](const Vector& x) { return relative_residual(a, b, x); });
-
-  out.solve.solve.status = r.status;
-  out.solve.solve.iterations = r.global_iterations;
-  out.solve.solve.final_residual = r.residual_history.back();
-  out.solve.solve.residual_history = r.residual_history;
-  out.solve.solve.time_history = std::move(r.time_history);
-  out.solve.block_executions = std::move(r.block_executions);
-  out.solve.resilience = std::move(r.resilience);
+  out.solve = block_async_solve_with_kernel(a, b, *kernel, run);
   out.report = detect_silent_error(out.solve.solve.residual_history);
   return out;
 }

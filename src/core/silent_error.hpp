@@ -72,6 +72,9 @@ struct DetectorOptions {
 
 /// Run async-(k) with a silent corruption injected, returning the
 /// solver result plus the detector's verdict on its residual history.
+/// The run is block_async_solve(a, b, opts) with the kernel wrapped by
+/// the injector (sdc unset: no injection) and the residual history
+/// always recorded; every other option is honoured as given.
 struct SdcRunResult {
   BlockAsyncResult solve;
   SilentErrorReport report;

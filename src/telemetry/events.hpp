@@ -47,7 +47,8 @@ struct SolveStartEvent {
   index_t nnz = 0;
   /// Row blocks ("subdomains"); 0 for unblocked CPU solvers.
   index_t num_blocks = 0;
-  /// Devices (multi-GPU) or worker threads (thread-async); 0 = n/a.
+  /// Worker threads (block-async's commit pool, thread-async's
+  /// threads); 0 = n/a.
   index_t num_workers = 0;
   TimeDomain time_domain = TimeDomain::kNone;
 };

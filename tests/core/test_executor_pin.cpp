@@ -24,9 +24,7 @@
 #include <vector>
 
 #include "core/block_async.hpp"
-#include "core/multi_gpu_solver.hpp"
 #include "matrices/generators.hpp"
-#include "telemetry/observer.hpp"
 
 namespace bars {
 namespace {
@@ -87,30 +85,19 @@ class Fnv {
   std::uint64_t h_ = 14695981039346656037ULL;
 };
 
-/// Counts commits per block from the telemetry stream, which both
-/// front-ends emit.
-class CommitCounter final : public telemetry::SolveObserver {
- public:
-  void on_block_commit(const telemetry::BlockCommitEvent& ev) override {
-    const auto b = static_cast<std::size_t>(ev.block);
-    if (counts.size() <= b) counts.resize(b + 1, 0);
-    ++counts[b];
-  }
-  std::vector<index_t> counts;
-};
-
-Pin fingerprint(const SolveResult& s, const std::vector<index_t>& executions,
-                const resilience::Report& rep, index_t transfers,
-                value_t bytes_hd, value_t bytes_dd) {
+Pin fingerprint(const char* name, const BlockAsyncResult& r) {
+  const SolveResult& s = r.solve;
+  const resilience::Report& rep = r.resilience;
   Pin p{};
+  p.name = name;
   p.status = static_cast<int>(s.status);
   p.iterations = s.iterations;
   Fnv e;
-  for (index_t c : executions) e.add(static_cast<std::uint64_t>(c));
+  for (index_t c : r.block_executions) e.add(static_cast<std::uint64_t>(c));
   p.executions = e.value();
-  p.transfers = transfers;
-  p.bytes_host_device = bytes_hd;
-  p.bytes_device_device = bytes_dd;
+  p.transfers = r.num_transfers;
+  p.bytes_host_device = r.bytes_host_device;
+  p.bytes_device_device = r.bytes_device_device;
   p.checkpoints = rep.checkpoints_saved;
   p.detections = rep.detections;
   p.rollbacks = rep.rollbacks;
@@ -186,37 +173,21 @@ BlockAsyncOptions single_base() {
   return o;
 }
 
-Pin run_single(const char* name, const BlockAsyncOptions& o) {
+Pin run(const std::string& name, const BlockAsyncOptions& o) {
   const Problem p;
-  const BlockAsyncResult r = block_async_solve(p.a, p.b, o);
-  Pin pin = fingerprint(r.solve, r.block_executions, r.resilience, 0, 0.0,
-                        0.0);
-  pin.name = name;
-  return pin;
+  return fingerprint(name.c_str(), block_async_solve(p.a, p.b, o));
 }
 
-MultiGpuOptions multi_base(index_t devices, gpusim::TransferScheme scheme) {
-  MultiGpuOptions o;
+BlockAsyncOptions multi_base(index_t devices, gpusim::TransferScheme scheme) {
+  BlockAsyncOptions o;
   o.num_devices = devices;
-  o.scheme = scheme;
+  o.transfer = gpusim::TransferOptions{scheme};
   o.block_size = 16;
   o.local_iters = 2;
   o.solve.max_iters = 400;
   o.solve.tol = 1e-10;
   o.seed = 5;
   return o;
-}
-
-Pin run_multi(const char* name, MultiGpuOptions o) {
-  const Problem p;
-  CommitCounter counter;
-  o.solve.telemetry.observer = &counter;
-  const MultiGpuResult r = multi_gpu_block_async_solve(p.a, p.b, o);
-  Pin pin = fingerprint(r.solve, counter.counts, r.resilience,
-                        r.num_transfers, r.bytes_host_device,
-                        r.bytes_device_device);
-  pin.name = name;
-  return pin;
 }
 
 // clang-format off
@@ -284,8 +255,8 @@ std::vector<std::pair<std::string, BlockAsyncOptions>> single_runs() {
   return runs;
 }
 
-std::vector<std::pair<std::string, MultiGpuOptions>> multi_runs() {
-  std::vector<std::pair<std::string, MultiGpuOptions>> runs;
+std::vector<std::pair<std::string, BlockAsyncOptions>> multi_runs() {
+  std::vector<std::pair<std::string, BlockAsyncOptions>> runs;
   const std::pair<const char*, gpusim::TransferScheme> schemes[] = {
       {"amc", gpusim::TransferScheme::kAMC},
       {"dc", gpusim::TransferScheme::kDC},
@@ -296,7 +267,7 @@ std::vector<std::pair<std::string, MultiGpuOptions>> multi_runs() {
                         multi_base(d, scheme));
     }
   }
-  MultiGpuOptions o = multi_base(3, gpusim::TransferScheme::kAMC);
+  BlockAsyncOptions o = multi_base(3, gpusim::TransferScheme::kAMC);
   o.scenario = resilience::FaultScenario().drop_device(5, 1, 10);
   runs.emplace_back("amc-3-dropout-rejoin", o);
   o = multi_base(2, gpusim::TransferScheme::kDC);
@@ -311,14 +282,14 @@ std::vector<std::pair<std::string, MultiGpuOptions>> multi_runs() {
 
 TEST(ExecutorPin, SingleDeviceRunsMatchGolden) {
   for (const auto& [name, o] : single_runs()) {
-    const Pin got = run_single(name.c_str(), o);
+    const Pin got = run(name, o);
     expect_pinned(pinned(kSinglePins, std::size(kSinglePins), name), got);
   }
 }
 
 TEST(ExecutorPin, MultiDeviceRunsMatchGolden) {
   for (const auto& [name, o] : multi_runs()) {
-    const Pin got = run_multi(name.c_str(), o);
+    const Pin got = run(name, o);
     expect_pinned(pinned(kMultiPins, std::size(kMultiPins), name), got);
   }
 }

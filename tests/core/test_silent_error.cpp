@@ -4,6 +4,7 @@
 
 #include <cmath>
 
+#include "common/cancel.hpp"
 #include "eigen/power_iteration.hpp"
 #include "matrices/generators.hpp"
 #include "stats/convergence.hpp"
@@ -144,6 +145,53 @@ TEST(SdcRun, SolverHealsAfterCorruption) {
   const SdcRunResult r = block_async_solve_with_sdc(a, b, o, sdc);
   EXPECT_TRUE(r.solve.solve.ok());
   EXPECT_LE(relative_residual(a, b, r.solve.solve.x), 1e-11);
+}
+
+TEST(SdcRun, ParallelWorkersMatchSerial) {
+  // The injector counts updates in mutable state, so it opts out of
+  // parallel commits: a worker pool must leave the run bit-identical.
+  // Round-robin timing puts many commits at the same virtual time, the
+  // case the parallel path would batch.
+  const Csr a = fv_like(16, 0.5);
+  const Vector b(static_cast<std::size_t>(a.rows()), 1.0);
+  BlockAsyncOptions o;
+  o.policy = gpusim::SchedulePolicy::kRoundRobin;
+  o.block_size = 16;
+  o.local_iters = 5;
+  o.solve.max_iters = 500;
+  o.solve.tol = 1e-12;
+  SilentErrorPlan sdc;
+  sdc.at = 8;
+  sdc.magnitude = 1e8;
+  const SdcRunResult serial = block_async_solve_with_sdc(a, b, o, sdc);
+  o.num_workers = 4;
+  const SdcRunResult parallel = block_async_solve_with_sdc(a, b, o, sdc);
+  ASSERT_TRUE(serial.report.detected);
+  EXPECT_EQ(parallel.solve.solve.x, serial.solve.solve.x);
+  EXPECT_EQ(parallel.solve.solve.residual_history,
+            serial.solve.solve.residual_history);
+  EXPECT_EQ(parallel.solve.solve.time_history,
+            serial.solve.solve.time_history);
+  EXPECT_EQ(parallel.report.detected, serial.report.detected);
+  EXPECT_EQ(parallel.report.at_iteration, serial.report.at_iteration);
+  EXPECT_EQ(parallel.report.jump_ratio, serial.report.jump_ratio);
+}
+
+TEST(SdcRun, HonoursCancelToken) {
+  const Csr a = fv_like(16, 0.5);
+  const Vector b(static_cast<std::size_t>(a.rows()), 1.0);
+  common::CancelToken token;
+  token.request_cancel();
+  BlockAsyncOptions o;
+  o.block_size = 64;
+  o.solve.max_iters = 500;
+  o.solve.tol = 1e-300;  // unreachable: only the token can stop the run
+  o.solve.cancel = &token;
+  SilentErrorPlan sdc;
+  sdc.at = 8;
+  const SdcRunResult r = block_async_solve_with_sdc(a, b, o, sdc);
+  EXPECT_EQ(r.solve.solve.status, SolverStatus::kAborted);
+  EXPECT_LT(r.solve.solve.iterations, 500);
 }
 
 TEST(SdcRun, RejectsBadComponent) {

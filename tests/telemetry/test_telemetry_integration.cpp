@@ -10,6 +10,7 @@
 
 #include "core/block_async.hpp"
 #include "core/registry.hpp"
+#include "core/silent_error.hpp"
 #include "matrices/generators.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/observer.hpp"
@@ -133,6 +134,68 @@ TEST(BlockCommitStream, MatchesExecutorBookkeeping) {
   EXPECT_EQ(muted.commits.size(), 0u);
   EXPECT_EQ(muted.starts.size(), 1u);
   EXPECT_GE(muted.iterations.size(), 1u);
+}
+
+/// Multi-GPU runs go through the one block-async front-end: the start
+/// event names "block-async" and carries the commit-pool worker count,
+/// not the device count.
+TEST(FrontEndTelemetry, MultiDeviceRunReportsBlockAsync) {
+  const Csr a = fv_like(12, 0.6);
+  const Vector b(static_cast<std::size_t>(a.rows()), 1.0);
+
+  telemetry::RecordingObserver rec;
+  BlockAsyncOptions o;
+  o.num_devices = 2;
+  o.transfer = gpusim::TransferOptions{gpusim::TransferScheme::kAMC};
+  o.num_workers = 3;
+  o.block_size = 16;
+  o.local_iters = 2;
+  o.solve.max_iters = 400;
+  o.solve.tol = 1e-10;
+  o.solve.telemetry.observer = &rec;
+  const BlockAsyncResult r = block_async_solve(a, b, o);
+  ASSERT_TRUE(r.solve.ok());
+  EXPECT_GT(r.num_transfers, 0);
+
+  ASSERT_EQ(rec.starts.size(), 1u);
+  EXPECT_STREQ(rec.starts[0].solver, "block-async");
+  EXPECT_EQ(rec.starts[0].num_workers, 3);
+  EXPECT_EQ(rec.starts[0].num_blocks, 9);
+  EXPECT_EQ(rec.starts[0].time_domain, telemetry::TimeDomain::kVirtual);
+  ASSERT_EQ(rec.finishes.size(), 1u);
+  EXPECT_EQ(rec.finishes[0].status, r.solve.status);
+  EXPECT_EQ(rec.finishes[0].iterations, r.solve.iterations);
+  EXPECT_EQ(rec.finishes[0].virtual_time, r.virtual_time);
+  EXPECT_EQ(rec.finishes[0].block_commits,
+            static_cast<index_t>(rec.commits.size()));
+}
+
+/// Silent-error runs are block-async runs with a wrapped kernel, so they
+/// bracket their event stream with start and finish like any other.
+TEST(FrontEndTelemetry, SdcRunEmitsStartAndFinish) {
+  const Csr a = fv_like(16, 0.5);
+  const Vector b(static_cast<std::size_t>(a.rows()), 1.0);
+
+  telemetry::RecordingObserver rec;
+  BlockAsyncOptions o;
+  o.block_size = 64;
+  o.local_iters = 5;
+  o.solve.max_iters = 500;
+  o.solve.tol = 1e-12;
+  o.solve.telemetry.observer = &rec;
+  SilentErrorPlan sdc;
+  sdc.at = 8;
+  sdc.magnitude = 1e8;
+  const SdcRunResult r = block_async_solve_with_sdc(a, b, o, sdc);
+  ASSERT_TRUE(r.report.detected);
+
+  ASSERT_EQ(rec.starts.size(), 1u);
+  EXPECT_STREQ(rec.starts[0].solver, "block-async");
+  EXPECT_EQ(rec.starts[0].num_workers, 0);
+  ASSERT_EQ(rec.finishes.size(), 1u);
+  EXPECT_EQ(rec.finishes[0].status, r.solve.solve.status);
+  EXPECT_EQ(rec.finishes[0].iterations, r.solve.solve.iterations);
+  EXPECT_EQ(rec.finishes[0].final_residual, r.solve.solve.final_residual);
 }
 
 /// PR 2's bit-identity contract survives observation: the parallel
