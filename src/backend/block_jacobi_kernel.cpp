@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <type_traits>
 
 #include "common/annotations.hpp"
 #include "common/check.hpp"
@@ -164,51 +165,81 @@ BARS_HOT_NOALLOC void BlockJacobiKernel::update(
 
   const value_t* rhs = b_->data();
 
-  if (sweep_ == LocalSweep::kJacobi) {
-    for (index_t li = 0; li < m; ++li) {
-      value_t acc = rhs[blk.work_lo + li];
-      for (index_t k = blk.grow_ptr[li]; k < blk.grow_ptr[li + 1]; ++k) {
-        acc -= blk.gval[k] * halo_values[blk.gcol[k]];
-      }
-      if (sweeps > 1) s[li] = acc;
-      for (index_t k = blk.lrow_ptr[li]; k < blk.lrow_ptr[li + 1]; ++k) {
-        acc -= blk.lval[k] * xw[blk.lcol[k]];
-      }
-      cur[li] = (1.0 - omega_) * xw[li] + omega_ * (acc / blk.diag[li]);
-    }
-    for (index_t sweep = 1; sweep < sweeps; ++sweep) {
+  // Residual report (ExecContext::residual_sq): r_i = acc - a_ii x_i
+  // from the first sweep's accumulator, owned rows only. The sweeps are
+  // instantiated with and without it (one branch per block), so a run
+  // that does not ask for the report executes no extra row work.
+  const index_t own_lo = blk.lo - blk.work_lo;
+  const index_t own_hi = blk.hi - blk.work_lo;
+  const auto sweep_block = [&](auto report) -> value_t {
+    value_t rsq = 0.0;
+    if (sweep_ == LocalSweep::kJacobi) {
       for (index_t li = 0; li < m; ++li) {
-        value_t acc = s[li];
+        value_t acc = rhs[blk.work_lo + li];
+        for (index_t k = blk.grow_ptr[li]; k < blk.grow_ptr[li + 1]; ++k) {
+          acc -= blk.gval[k] * halo_values[blk.gcol[k]];
+        }
+        if (sweeps > 1) s[li] = acc;
+        for (index_t k = blk.lrow_ptr[li]; k < blk.lrow_ptr[li + 1]; ++k) {
+          acc -= blk.lval[k] * xw[blk.lcol[k]];
+        }
+        if constexpr (decltype(report)::value) {
+          if (li >= own_lo && li < own_hi) {
+            const value_t r = acc - blk.diag[li] * xw[li];
+            rsq += r * r;
+          }
+        }
+        cur[li] = (1.0 - omega_) * xw[li] + omega_ * (acc / blk.diag[li]);
+      }
+      for (index_t sweep = 1; sweep < sweeps; ++sweep) {
+        for (index_t li = 0; li < m; ++li) {
+          value_t acc = s[li];
+          for (index_t k = blk.lrow_ptr[li]; k < blk.lrow_ptr[li + 1]; ++k) {
+            acc -= blk.lval[k] * cur[blk.lcol[k]];
+          }
+          nxt[li] = (1.0 - omega_) * cur[li] + omega_ * (acc / blk.diag[li]);
+        }
+        std::swap(cur, nxt);
+      }
+    } else {
+      // Gauss-Seidel sweeps are in place, so seed the iterate first.
+      std::copy(xw, xw + m, cur);
+      for (index_t li = 0; li < m; ++li) {
+        value_t acc = rhs[blk.work_lo + li];
+        for (index_t k = blk.grow_ptr[li]; k < blk.grow_ptr[li + 1]; ++k) {
+          acc -= blk.gval[k] * halo_values[blk.gcol[k]];
+        }
+        if (sweeps > 1) s[li] = acc;
         for (index_t k = blk.lrow_ptr[li]; k < blk.lrow_ptr[li + 1]; ++k) {
           acc -= blk.lval[k] * cur[blk.lcol[k]];
         }
-        nxt[li] = (1.0 - omega_) * cur[li] + omega_ * (acc / blk.diag[li]);
-      }
-      std::swap(cur, nxt);
-    }
-  } else {
-    // Gauss-Seidel sweeps are in place, so seed the iterate first.
-    std::copy(xw, xw + m, cur);
-    for (index_t li = 0; li < m; ++li) {
-      value_t acc = rhs[blk.work_lo + li];
-      for (index_t k = blk.grow_ptr[li]; k < blk.grow_ptr[li + 1]; ++k) {
-        acc -= blk.gval[k] * halo_values[blk.gcol[k]];
-      }
-      if (sweeps > 1) s[li] = acc;
-      for (index_t k = blk.lrow_ptr[li]; k < blk.lrow_ptr[li + 1]; ++k) {
-        acc -= blk.lval[k] * cur[blk.lcol[k]];
-      }
-      cur[li] = (1.0 - omega_) * cur[li] + omega_ * (acc / blk.diag[li]);
-    }
-    for (index_t sweep = 1; sweep < sweeps; ++sweep) {
-      for (index_t li = 0; li < m; ++li) {
-        value_t acc = s[li];
-        for (index_t k = blk.lrow_ptr[li]; k < blk.lrow_ptr[li + 1]; ++k) {
-          acc -= blk.lval[k] * cur[blk.lcol[k]];
+        if constexpr (decltype(report)::value) {
+          if (li >= own_lo && li < own_hi) {
+            // Earlier local rows are already relaxed in place, so this is
+            // the in-sweep (Gauss-Seidel) residual, not that of the state
+            // the block read (ExecContext::residual_sq allows it).
+            const value_t r = acc - blk.diag[li] * xw[li];
+            rsq += r * r;
+          }
         }
         cur[li] = (1.0 - omega_) * cur[li] + omega_ * (acc / blk.diag[li]);
       }
+      for (index_t sweep = 1; sweep < sweeps; ++sweep) {
+        for (index_t li = 0; li < m; ++li) {
+          value_t acc = s[li];
+          for (index_t k = blk.lrow_ptr[li]; k < blk.lrow_ptr[li + 1]; ++k) {
+            acc -= blk.lval[k] * cur[blk.lcol[k]];
+          }
+          cur[li] = (1.0 - omega_) * cur[li] + omega_ * (acc / blk.diag[li]);
+        }
+      }
     }
+    return rsq;
+  };
+  if (ctx.residual_sq != nullptr) {
+    *ctx.residual_sq = sweep_block(std::true_type{});
+  } else {
+    (void)sweep_block(std::false_type{});
   }
 
   // Commit only the owned rows (restricted additive Schwarz when

@@ -48,13 +48,15 @@ inline __m256d gather_fnmadd(const std::int32_t* cols, const value_t* vals,
   return acc;
 }
 
-}  // namespace
-
-void simd_update_block(const SimdBlockLayout& blk,
-                       std::span<const value_t> halo_values,
-                       const value_t* rhs, std::span<value_t> x,
-                       value_t omega, index_t sweeps,
-                       const std::vector<std::uint8_t>* mask) noexcept {
+/// The block sweep, instantiated with and without the residual report
+/// (one branch per block), so a run that does not ask for the report
+/// executes no extra row work.
+template <bool kReport>
+void update_block(const SimdBlockLayout& blk,
+                  std::span<const value_t> halo_values, const value_t* rhs,
+                  std::span<value_t> x, value_t omega, index_t sweeps,
+                  const std::vector<std::uint8_t>* mask,
+                  [[maybe_unused]] value_t* residual_sq) noexcept {
   const index_t m = blk.m;
   const index_t full = blk.full_groups;
   const value_t* xw = x.data() + blk.lo;
@@ -68,7 +70,10 @@ void simd_update_block(const SimdBlockLayout& blk,
 
   // First sweep, fused exactly like the scalar kernel: the frozen
   // s_i = b_i - (global part) shares the accumulator chain with the
-  // local part and is spilled only when later sweeps need it.
+  // local part and is spilled only when later sweeps need it. The
+  // residual report r_i = acc - a_ii x_i rides on the same accumulator.
+  [[maybe_unused]] __m256d vrsq = _mm256_setzero_pd();
+  [[maybe_unused]] value_t rsq = 0.0;
   for (index_t g = 0; g < full; ++g) {
     const index_t r = 4 * g;
     __m256d acc = _mm256_loadu_pd(rhs + blk.lo + r);
@@ -79,6 +84,10 @@ void simd_update_block(const SimdBlockLayout& blk,
                         blk.lgroup_ptr[g], blk.lgroup_ptr[g + 1], acc);
     const __m256d xq = _mm256_loadu_pd(xw + r);
     const __m256d d = _mm256_loadu_pd(blk.diag.data() + r);
+    if constexpr (kReport) {
+      const __m256d res = _mm256_fnmadd_pd(d, xq, acc);
+      vrsq = _mm256_fmadd_pd(res, res, vrsq);
+    }
     const __m256d out = _mm256_fmadd_pd(
         vrest, xq, _mm256_mul_pd(vomega, _mm256_div_pd(acc, d)));
     _mm256_storeu_pd(cur + r, out);
@@ -97,7 +106,16 @@ void simd_update_block(const SimdBlockLayout& blk,
          ++k) {
       acc -= blk.lval[4 * k + l] * xw[blk.lcol[4 * k + l]];
     }
+    if constexpr (kReport) {
+      const value_t res = acc - blk.diag[r] * xw[r];
+      rsq += res * res;
+    }
     cur[r] = (1.0 - omega) * xw[r] + omega * (acc / blk.diag[r]);
+  }
+  if constexpr (kReport) {
+    alignas(32) value_t lanes[4];
+    _mm256_store_pd(lanes, vrsq);
+    *residual_sq = (lanes[0] + lanes[1]) + (lanes[2] + lanes[3]) + rsq;
   }
 
   for (index_t sweep = 1; sweep < sweeps; ++sweep) {
@@ -135,11 +153,28 @@ void simd_update_block(const SimdBlockLayout& blk,
   }
 }
 
+}  // namespace
+
+void simd_update_block(const SimdBlockLayout& blk,
+                       std::span<const value_t> halo_values,
+                       const value_t* rhs, std::span<value_t> x,
+                       value_t omega, index_t sweeps,
+                       const std::vector<std::uint8_t>* mask,
+                       value_t* residual_sq) noexcept {
+  if (residual_sq != nullptr) {
+    update_block<true>(blk, halo_values, rhs, x, omega, sweeps, mask,
+                       residual_sq);
+  } else {
+    update_block<false>(blk, halo_values, rhs, x, omega, sweeps, mask,
+                        nullptr);
+  }
+}
+
 #else  // !BARS_BACKEND_HAS_AVX2
 
 void simd_update_block(const SimdBlockLayout&, std::span<const value_t>,
                        const value_t*, std::span<value_t>, value_t, index_t,
-                       const std::vector<std::uint8_t>*) noexcept {
+                       const std::vector<std::uint8_t>*, value_t*) noexcept {
   // Unreachable: SimdBlockSweepKernel's constructor throws
   // backend_unsupported when simd_compiled() is false.
 }

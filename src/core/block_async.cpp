@@ -99,6 +99,7 @@ BlockAsyncResult block_async_solve_with_kernel(const Csr& a, const Vector& b,
   exec.stopping.tol = opts.solve.tol;
   exec.stopping.divergence_limit = opts.solve.divergence_limit;
   exec.stopping.cancel = opts.solve.cancel;
+  exec.stopping.record_history = opts.solve.record_history;
   exec.telemetry = opts.solve.telemetry;
   exec.concurrent_slots = opts.concurrent_slots;
   exec.global_iteration_time =

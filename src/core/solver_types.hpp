@@ -25,6 +25,12 @@ struct SolveOptions {
   /// Treat the run as diverged once the relative residual exceeds this.
   value_t divergence_limit = 1e30;
   /// Record the residual after every iteration (Figs. 6, 7, 9, 10).
+  /// Off, block-async solves skip the exact residual check at
+  /// boundaries where the calibrated per-block estimate predicts no
+  /// verdict (gpusim/stopping.hpp). Every verdict and final_residual
+  /// still comes from an exact check; that iterations and x match a
+  /// history-on run was measured on the MonitorParity tests, and is
+  /// not guaranteed beyond them.
   bool record_history = true;
   /// Observability hooks (observer + metrics registry). Null members
   /// disable the feature; see docs/OBSERVABILITY.md.

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <deque>
+#include <limits>
 #include <queue>
 #include <stdexcept>
 
@@ -462,6 +463,24 @@ ExecutorResult AsyncExecutor::run(
   std::vector<Vector> saved_rows(can_batch ? static_cast<std::size_t>(q) : 0);
   std::vector<Vector> new_rows(can_batch ? static_cast<std::size_t>(q) : 0);
 
+  // Residual estimate (stopping.hpp): each block's latest contribution
+  // (ExecContext::residual_sq), +inf until the kernel reports one. The
+  // parallel path stages contributions like rows, so the replay
+  // publishes them in event order and every boundary sees exactly the
+  // serial loop's values.
+  const bool estimate = monitor.uses_estimate();
+  std::vector<value_t> block_rsq(
+      estimate ? static_cast<std::size_t>(q) : 0,
+      std::numeric_limits<value_t>::infinity());
+  std::vector<value_t> staged_rsq(can_batch ? block_rsq.size() : 0,
+                                  std::numeric_limits<value_t>::infinity());
+  const auto residual_estimate = [&]() {
+    if (!estimate) return std::numeric_limits<value_t>::infinity();
+    value_t sum = 0.0;
+    for (const value_t c : block_rsq) sum += c;
+    return std::sqrt(sum);
+  };
+
   bool stopped = false;
   // Commit bookkeeping for one WRITE (the kernel update itself already
   // ran). Mirrors the serial order exactly: trace, counters, requeue,
@@ -500,8 +519,10 @@ ExecutorResult AsyncExecutor::run(
     if (total_writes % q == 0) {
       ++global_iter;
       const index_t mutations_before = monitor.iterate_mutations();
-      const StopVerdict verdict = monitor.on_global_iteration(
-          global_iter, now, x, residual_fn, res.block_executions);
+      const StopVerdict verdict =
+          monitor.on_global_iteration(global_iter, now, x, residual_fn,
+                                      res.block_executions,
+                                      residual_estimate());
       if (monitor.iterate_mutations() != mutations_before) {
         // A rollback / damped restart rewrote the canonical iterate;
         // broadcast it so no device writes stale state back over the
@@ -611,6 +632,10 @@ ExecutorResult AsyncExecutor::run(
                   ExecContext ctx;
                   ctx.virtual_time = now;
                   ctx.block_generation = res.block_executions[blk];
+                  if (estimate) {
+                    ctx.residual_sq =
+                        &staged_rsq[static_cast<std::size_t>(blk)];
+                  }
                   kernel_.update(blk, halo_snapshot[blk], x, ctx);
                   // Declare this task's slice of x to the race oracle:
                   // the disjoint-row claim above becomes machine-checked.
@@ -628,6 +653,10 @@ ExecutorResult AsyncExecutor::run(
               const Vector& fresh =
                   new_rows[static_cast<std::size_t>(bev.block)];
               std::copy(fresh.begin(), fresh.end(), x.begin() + lo);
+              if (estimate) {
+                block_rsq[static_cast<std::size_t>(bev.block)] =
+                    staged_rsq[static_cast<std::size_t>(bev.block)];
+              }
               commit_write(bev.block, bev.device);
             }
             break;
@@ -639,6 +668,7 @@ ExecutorResult AsyncExecutor::run(
         ctx.virtual_time = now;
         ctx.block_generation = res.block_executions[b];
         ctx.failed_components = timeline ? timeline->component_mask() : nullptr;
+        if (estimate) ctx.residual_sq = &block_rsq[static_cast<std::size_t>(b)];
         kernel_.update(b, halo_snapshot[b], view, ctx);
         if (&view != &x) {
           // Mirror own rows into the canonical assembly.

@@ -155,7 +155,9 @@ struct ExecutorResult {
   index_t global_iterations = 0;
   value_t virtual_time = 0.0;  ///< simulated seconds at stop
   /// residual_history[k] = residual after k global iterations
-  /// (residual_history[0] is the initial residual).
+  /// (residual_history[0] is the initial residual). With
+  /// stopping.record_history off it holds only the exactly checked
+  /// boundaries; back() is still the residual at the stopping boundary.
   std::vector<value_t> residual_history;
   /// Virtual time at which each history entry was recorded.
   std::vector<value_t> time_history;

@@ -23,6 +23,16 @@ struct ExecContext {
   /// component whose owning core has failed: the kernel must leave its
   /// value untouched (paper Section 4.5). nullptr when no fault active.
   const std::vector<std::uint8_t>* failed_components = nullptr;
+  /// Optional per-block residual report. When non-null, update() stores
+  /// sum_i r_i^2 over the block's *owned* rows, where r_i = b_i - A_i x
+  /// is taken from the first local sweep's accumulator. For a Jacobi
+  /// sweep that is the residual of the state the block read (its halo
+  /// snapshot plus its own rows before the update); a Gauss-Seidel
+  /// sweep may report its in-sweep residual instead (earlier rows
+  /// already relaxed), and the monitor's calibration absorbs the
+  /// difference. The executor sums these into its cheap stopping
+  /// estimate; nullptr means "not wanted".
+  value_t* residual_sq = nullptr;
 };
 
 /// Numeric kernel for one row block ("subdomain").
@@ -33,6 +43,14 @@ struct ExecContext {
 ///     the block's virtual start time.
 ///   - `update(b, halo_values, x, ctx)` may read/write only the rows of
 ///     block b in `x`, plus `halo_values` (aligned with `halo(b)`).
+///   - When `ctx.residual_sq` is set, `update` writes the block's
+///     residual contribution there (see ExecContext). Reporting is
+///     optional: a kernel that never writes it leaves the executor's
+///     estimate at +inf, and the monitor then checks the exact residual
+///     at every global-iteration boundary. `update` never allocates,
+///     reporting or not, and should keep the report out of the row
+///     loop that runs without it (the scalar and SIMD kernels
+///     instantiate their sweep both ways).
 /// This split is what creates genuine asynchronous staleness: between a
 /// block's snapshot and its commit, other blocks keep committing.
 class BlockKernel {

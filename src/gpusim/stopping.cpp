@@ -20,7 +20,12 @@ IterationMonitor::IterationMonitor(StoppingCriteria criteria,
                                    resilience::ScenarioTimeline* timeline,
                                    index_t num_blocks,
                                    telemetry::SolveObserver* observer)
-    : crit_(criteria), timeline_(timeline), observer_(observer) {
+    : crit_(criteria),
+      timeline_(timeline),
+      may_skip_(!criteria.record_history && policy == nullptr &&
+                timeline == nullptr && observer == nullptr),
+      observer_(observer) {
+  steps_.fill(1.0);
   if (policy) {
     if (policy->checkpointing) {
       checkpoint_.emplace(policy->checkpoint);
@@ -59,11 +64,44 @@ void IterationMonitor::damped_restart(
   emit_recovery(RecoveryEvent::Kind::kDampedRestart, iter, r);
 }
 
+void IterationMonitor::track_contraction(value_t estimate) {
+  const bool both_finite = std::isfinite(estimate) &&
+                           std::isfinite(last_estimate_) &&
+                           last_estimate_ > 0.0;
+  steps_[static_cast<std::size_t>(next_step_)] =
+      both_finite ? estimate / last_estimate_ : 1.0;
+  next_step_ = (next_step_ + 1) % kContractionWindow;
+  last_estimate_ = estimate;
+}
+
+bool IterationMonitor::can_skip(index_t iter, value_t estimate) const {
+  // estimate / ratio_hi_ and estimate / ratio_lo_ bracket the exact
+  // residual as calibrated so far; skip only while the whole bracket,
+  // widened by kConfirmMargin — and on the convergence side by one more
+  // step as fast as the fastest recent one (kappa) — lies strictly
+  // between tol and the divergence limit.
+  const value_t kappa =
+      std::min(value_t{1.0}, *std::min_element(steps_.begin(), steps_.end()));
+  return may_skip_ && calibrations_ >= kCalibrationBoundaries &&
+         iter < crit_.max_global_iters &&
+         (crit_.cancel == nullptr || !crit_.cancel->requested()) &&
+         std::isfinite(estimate) &&
+         kappa * estimate > kConfirmMargin * ratio_hi_ * crit_.tol &&
+         kConfirmMargin * estimate <= ratio_lo_ * crit_.divergence_limit;
+}
+
 StopVerdict IterationMonitor::on_global_iteration(
     index_t iter, value_t now, Vector& x,
     const std::function<value_t(const Vector&)>& residual_fn,
-    std::span<const index_t> block_executions) {
+    std::span<const index_t> block_executions, value_t estimate) {
+  if (may_skip_) track_contraction(estimate);
+  if (can_skip(iter, estimate)) return StopVerdict::kContinue;
   value_t r = residual_fn(x);
+  if (std::isfinite(estimate) && r > 0.0) {
+    ratio_hi_ = std::max(ratio_hi_, estimate / r);
+    ratio_lo_ = std::min(ratio_lo_, estimate / r);
+    ++calibrations_;
+  }
   history_.push_back(r);
   times_.push_back(now);
   if (observer_) observer_->on_iteration({iter, r, now});

@@ -1,6 +1,8 @@
 #pragma once
 
+#include <array>
 #include <functional>
+#include <limits>
 #include <span>
 #include <vector>
 
@@ -18,6 +20,42 @@
 /// where the resilience layer hooks into a solve — online SDC detection
 /// with checkpoint rollback, watchdog supervision with component
 /// reassignment, and damped restarts on divergence.
+///
+/// Residual monitoring (the paper's relative l2 stopping rule, Section
+/// 4.3) is exact wherever a verdict is formed: every verdict and every
+/// recorded residual comes from `residual_fn`. What the monitor may
+/// skip is the exact check at a boundary whose verdict the calibrated
+/// estimate predicts to be "continue". The executor passes a cheap
+/// estimate at each boundary — the square root of the sum of the
+/// blocks' latest residual contributions (ExecContext::residual_sq),
+/// an unnormalized residual norm: the monitor only ever compares it
+/// with its own ratios to the exact residual, so the ||b|| scale
+/// cancels. The monitor skips the exact check only when history,
+/// observer, resilience policy and fault timeline are all off, the
+/// boundary is not the iteration limit, the cancel token is clear, at
+/// least kCalibrationBoundaries exact checks have calibrated
+/// R = max(estimate / exact) and r = min(estimate / exact), and the
+/// estimate is finite, above kConfirmMargin * R * tol / kappa and at
+/// most r * divergence_limit / kConfirmMargin (the estimate lags a
+/// growing residual, so a diverging run must not coast past the
+/// limit). kappa <= 1 is the fastest one-boundary decrease of the
+/// estimate over the last kContractionWindow boundaries: each block
+/// reports the residual of the state it read, so the estimate trails
+/// the exact residual by about one global iteration, and R (measured
+/// at earlier checks) does not cover a step that contracts faster than
+/// those. Heavy stragglers produce such steps: a block that commits
+/// after a long delay leaves a stale, large contribution in the sum
+/// while its update removes most of its rows' residual. A skipped
+/// boundary records and emits nothing.
+///
+/// The skip rule is a calibrated heuristic, not a proof: if
+/// estimate / exact rose above kConfirmMargin * R / kappa, a run would
+/// skip the check at a boundary where the exact residual had already
+/// reached tol and stop late. Bit-identical results with
+/// record_history on and off were measured on the MonitorParity tests
+/// (tests/gpusim/test_monitor_parity.cpp) and are not guaranteed
+/// beyond them. docs/PERFORMANCE.md ("Residual monitoring") has the
+/// measurements behind the constants.
 
 namespace bars::gpusim {
 
@@ -28,7 +66,24 @@ struct StoppingCriteria {
   /// Cooperative cancellation token (SolveOptions::cancel), polled once
   /// per global-iteration boundary. Null disables the check.
   const common::CancelToken* cancel = nullptr;
+  /// Mirrors SolveOptions::record_history. When false the monitor may
+  /// skip exact checks at boundaries the calibrated estimate predicts
+  /// non-final (file comment); the history then holds only the checked
+  /// boundaries, and its last entry is still the exact residual at the
+  /// stopping boundary.
+  bool record_history = true;
 };
+
+/// Exact checks that calibrate the estimate before any may be skipped.
+inline constexpr index_t kCalibrationBoundaries = 3;
+/// Safety factor between the calibrated estimate and the verdict
+/// thresholds: a boundary is skipped only while
+/// kappa * estimate > kConfirmMargin * R * tol and
+/// kConfirmMargin * estimate <= r * divergence_limit.
+inline constexpr value_t kConfirmMargin = 2.0;
+/// Boundaries over which kappa, the fastest one-boundary decrease of
+/// the estimate, is taken.
+inline constexpr index_t kContractionWindow = 8;
 
 enum class StopVerdict {
   kContinue,
@@ -60,14 +115,21 @@ class IterationMonitor {
   /// Record the initial residual (history index 0, time 0).
   void record_initial(value_t r0);
 
+  /// True when this run may skip exact checks (history, observer,
+  /// policy and timeline all off): only then does the executor collect
+  /// per-block residual contributions for the estimate.
+  [[nodiscard]] bool uses_estimate() const { return may_skip_; }
+
   /// Handle the boundary after global iteration `iter`: record the
   /// residual, advance the fault timeline, run detector/checkpoint/
   /// watchdog hooks (which may mutate x — rollback, damped restart),
-  /// and return the stopping verdict.
+  /// and return the stopping verdict. `estimate` is the executor's
+  /// unnormalized residual estimate (+inf when unavailable); it only
+  /// ever decides whether `residual_fn` runs, never a verdict.
   StopVerdict on_global_iteration(
       index_t iter, value_t now, Vector& x,
       const std::function<value_t(const Vector&)>& residual_fn,
-      std::span<const index_t> block_executions);
+      std::span<const index_t> block_executions, value_t estimate);
 
   [[nodiscard]] std::vector<value_t>& residual_history() { return history_; }
   [[nodiscard]] std::vector<value_t>& time_history() { return times_; }
@@ -113,6 +175,12 @@ class IterationMonitor {
   void damped_restart(index_t iter, Vector& x, value_t& r,
                       const std::function<value_t(const Vector&)>& residual_fn);
 
+  /// Record the estimate's step from the previous boundary (kappa).
+  void track_contraction(value_t estimate);
+
+  /// Whether the boundary after `iter` may go without an exact check.
+  [[nodiscard]] bool can_skip(index_t iter, value_t estimate) const;
+
   StoppingCriteria crit_;
   resilience::ScenarioTimeline* timeline_;
   std::optional<resilience::CheckpointStore> checkpoint_;
@@ -122,6 +190,17 @@ class IterationMonitor {
   value_t restart_damping_ = 0.5;
   index_t max_rollbacks_ = 0;
   index_t restarts_done_ = 0;
+  bool may_skip_ = false;
+  // estimate / exact over the exact checks so far: ratio_hi_ is the
+  // R of the file comment, ratio_lo_ guards the divergence limit.
+  index_t calibrations_ = 0;  ///< exact checks that measured a ratio
+  value_t ratio_hi_ = 0.0;
+  value_t ratio_lo_ = std::numeric_limits<value_t>::infinity();
+  // estimate(t) / estimate(t - 1) over the last kContractionWindow
+  // boundaries (1 where either was not finite): kappa is their minimum.
+  std::array<value_t, kContractionWindow> steps_{};
+  index_t next_step_ = 0;
+  value_t last_estimate_ = std::numeric_limits<value_t>::infinity();
   std::vector<value_t> history_;
   std::vector<value_t> times_;
   resilience::Report report_;

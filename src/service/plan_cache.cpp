@@ -40,7 +40,15 @@ std::shared_ptr<SolvePlan> PlanCache::acquire(const Csr& a,
                                               const PlanConfig& config,
                                               bool* hit,
                                               const char* inject_failure) {
-  const Key key{matrix_fingerprint(a), config};
+  return acquire(a, matrix_fingerprint(a), config, hit, inject_failure);
+}
+
+std::shared_ptr<SolvePlan> PlanCache::acquire(const Csr& a,
+                                              std::uint64_t fingerprint,
+                                              const PlanConfig& config,
+                                              bool* hit,
+                                              const char* inject_failure) {
+  const Key key{fingerprint, config};
   const Clock::time_point now = Clock::now();
   common::MutexLock lock(mu_);
   if (auto it = map_.find(key); it != map_.end()) {

@@ -120,6 +120,13 @@ class PlanCache {
       const Csr& a, const PlanConfig& config, bool* hit = nullptr,
       const char* inject_failure = nullptr);
 
+  /// Same as above for a caller that already holds
+  /// matrix_fingerprint(a) (SolveService computes it at submit), so a
+  /// cache hit costs no pass over the matrix.
+  [[nodiscard]] std::shared_ptr<SolvePlan> acquire(
+      const Csr& a, std::uint64_t fingerprint, const PlanConfig& config,
+      bool* hit = nullptr, const char* inject_failure = nullptr);
+
   /// Like acquire() but never builds: null on miss, and the LRU order
   /// is untouched (peeking is not a use).
   [[nodiscard]] std::shared_ptr<SolvePlan> peek(std::uint64_t fingerprint,

@@ -333,8 +333,8 @@ void SolveService::execute_batch(std::vector<AttemptPtr> batch) {
     if (opts_.chaos != nullptr && opts_.chaos->plan_failure_active()) {
       inject = "injected plan-construction failure (chaos)";
     }
-    plan = cache_.acquire(*first.rs->req.matrix, first.rs->config, &cache_hit,
-                          inject);
+    plan = cache_.acquire(*first.rs->req.matrix, first.rs->fingerprint,
+                          first.rs->config, &cache_hit, inject);
     if (inject != nullptr && !cache_hit) opts_.chaos->count_plan_failure();
     common::MutexLock lock(mu_);
     if (cache_hit) {

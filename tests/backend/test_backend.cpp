@@ -318,5 +318,52 @@ TEST(BackendKernel, RhsAndPerBlockItersRoundTripPerBackend) {
   }
 }
 
+TEST(BackendKernel, ReportsOwnedRowResidualPerBackend) {
+  // ExecContext::residual_sq: the block's sum of squared residuals over
+  // its owned rows, for the state it read (halo + own rows before the
+  // update). Block size 13 leaves a SIMD tail group; overlap 3 checks
+  // that working-range rows outside the owned range are not counted.
+  const Csr a = fv_like(9, 0.5);
+  const std::size_t n = static_cast<std::size_t>(a.rows());
+  Vector b(n);
+  Vector x(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    b[i] = 1.0 + 0.25 * static_cast<value_t>(i % 5);
+    x[i] = 0.1 * static_cast<value_t>(i % 7) - 0.3;
+  }
+  Vector r(n);
+  a.residual(b, x, r);
+
+  std::vector<std::unique_ptr<BlockSweepKernel>> kernels;
+  for (const std::string& name : backend_names()) {
+    if (!find_backend(name).available()) continue;
+    for (const index_t k : {1, 3}) {
+      kernels.push_back(
+          build_kernel(name, a, b, RowPartition::uniform(a.rows(), 13), {k}));
+    }
+  }
+  kernels.push_back(build_kernel("scalar", a, b,
+                                 RowPartition::uniform(a.rows(), 13),
+                                 {2, LocalSweep::kJacobi, 1.0, 3}));
+  for (const auto& kernel : kernels) {
+    for (index_t blk = 0; blk < kernel->num_blocks(); ++blk) {
+      const auto halo = kernel->halo(blk);
+      Vector hv(halo.size());
+      for (std::size_t i = 0; i < halo.size(); ++i) hv[i] = x[halo[i]];
+      const auto [lo, hi] = kernel->rows(blk);
+      value_t expected = 0.0;
+      for (index_t i = lo; i < hi; ++i) expected += r[i] * r[i];
+      Vector xu = x;
+      value_t reported = -1.0;
+      gpusim::ExecContext ctx;
+      ctx.residual_sq = &reported;
+      kernel->update(blk, hv, xu, ctx);
+      EXPECT_NEAR(reported, expected, 1e-12 * expected)
+          << kernel->backend_name() << " block " << blk << " k "
+          << kernel->local_iters() << " overlap " << kernel->overlap();
+    }
+  }
+}
+
 }  // namespace
 }  // namespace bars::backend

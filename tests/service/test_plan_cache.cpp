@@ -52,6 +52,38 @@ TEST(PlanCache, MissBuildsThenHits) {
   EXPECT_EQ(s.capacity, 4u);
 }
 
+TEST(PlanCache, PrecomputedFingerprintMatchesHashingAcquire) {
+  // The overload taking the caller's fingerprint serves the same plans
+  // and counts the same hits and misses as the hashing form.
+  const Csr a = fv_like(6, 0.5);
+  const Csr b = fv_like(7, 0.5);
+  PlanCache hashing(4);
+  PlanCache precomputed(4);
+  std::vector<bool> hits_hashing;
+  std::vector<bool> hits_precomputed;
+  for (const Csr* m : {&a, &b, &a, &a, &b}) {
+    bool hit = false;
+    const auto p1 = hashing.acquire(*m, PlanConfig{}, &hit);
+    hits_hashing.push_back(hit);
+    const auto p2 = precomputed.acquire(*m, matrix_fingerprint(*m),
+                                        PlanConfig{}, &hit);
+    hits_precomputed.push_back(hit);
+    EXPECT_EQ(p1->fingerprint, p2->fingerprint);
+    EXPECT_EQ(p2->fingerprint, matrix_fingerprint(*m));
+    EXPECT_EQ(p1->matrix.rows(), p2->matrix.rows());
+  }
+  EXPECT_EQ(hits_hashing, hits_precomputed);
+  const PlanCacheStats s1 = hashing.stats();
+  const PlanCacheStats s2 = precomputed.stats();
+  EXPECT_EQ(s1.hits, s2.hits);
+  EXPECT_EQ(s1.misses, s2.misses);
+  EXPECT_EQ(s1.size, s2.size);
+  EXPECT_EQ(s1.evictions, s2.evictions);
+  // Within one cache both forms hit the same entry.
+  EXPECT_EQ(hashing.acquire(a, matrix_fingerprint(a), PlanConfig{}).get(),
+            hashing.acquire(a, PlanConfig{}).get());
+}
+
 TEST(PlanCache, DistinctConfigsGetDistinctPlans) {
   PlanCache cache(4);
   const Csr a = fv_like(6, 0.5);

@@ -4,6 +4,11 @@
 
 #include <stdexcept>
 
+#include "core/solver_types.hpp"
+#include "matrices/generators.hpp"
+#include "sparse/vector_ops.hpp"
+#include "stats/rng.hpp"
+
 namespace bars {
 namespace {
 
@@ -74,6 +79,31 @@ TEST(Csr, ResidualComputesBMinusAx) {
   EXPECT_DOUBLE_EQ(r[0], 1.0);
   EXPECT_DOUBLE_EQ(r[1], 2.0);
   EXPECT_DOUBLE_EQ(r[2], 1.0);
+}
+
+TEST(Csr, FusedRelativeResidualIsBitIdenticalToTwoPass) {
+  // relative_residual makes one pass with no temporary; it must equal
+  // the residual + norm2 pair it replaced bit for bit.
+  const Csr mats[] = {fv_like(30, 0.4), trefethen(500),
+                      random_spd(400, 6, 1.5, 11)};
+  for (const Csr& a : mats) {
+    for (const std::uint64_t seed : {1, 2, 3}) {
+      Rng rng(seed);
+      const std::size_t n = static_cast<std::size_t>(a.rows());
+      Vector b(n);
+      Vector x(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        b[i] = rng.uniform(-1.0, 1.0);
+        x[i] = rng.uniform(-2.0, 2.0);
+      }
+      Vector r(n);
+      a.residual(b, x, r);
+      EXPECT_EQ(relative_residual(a, b, x), norm2(r) / norm2(b));
+      const Vector zero(n, 0.0);  // ||b|| == 0: absolute residual
+      a.residual(zero, x, r);
+      EXPECT_EQ(relative_residual(a, zero, x), norm2(r));
+    }
+  }
 }
 
 TEST(Csr, DiagonalExtraction) {

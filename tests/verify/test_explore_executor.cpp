@@ -111,6 +111,63 @@ TEST(VerifyExecutor, ExhaustiveBitIdentityAndCommitLedger) {
       << "suspiciously few schedules - is the seam active?";
 }
 
+/// The verified stopping test under every explored schedule: with
+/// history off the monitor skips exact checks on the per-block
+/// estimate, and the parallel path publishes staged contributions in
+/// event order. A converged verdict must still rest on the exact
+/// residual, recomputed here outside the solver, and the parallel run
+/// must stop exactly where the serial one does.
+TEST(VerifyExecutor, HistoryOffConvergedVerdictIsExact) {
+  const Csr a = random_spd(8, 2, 3.0, 1);
+  const Vector b(8, 1.0);
+  const BlockJacobiKernel kernel(a, b, RowPartition::uniform(8, 2), 1);
+  gpusim::ExecutorOptions o;
+  o.policy = gpusim::SchedulePolicy::kRoundRobin;
+  o.concurrent_slots = 4;
+  o.stopping.tol = 1e-4;
+  o.stopping.max_global_iters = 50;
+  o.stopping.record_history = false;
+
+  int calls = 0;
+  const auto run = [&](Vector& x) {
+    gpusim::AsyncExecutor ex(kernel, o);
+    x.assign(b.size(), 0.0);
+    return ex.run(x, [&](const Vector& v) {
+      ++calls;
+      return relative_residual(a, b, v);
+    });
+  };
+
+  Vector xs;
+  o.num_workers = 0;
+  const gpusim::ExecutorResult serial = run(xs);
+  ASSERT_EQ(serial.status, SolverStatus::kConverged);
+  // The gate is live on this run: some boundaries went unchecked.
+  ASSERT_LT(calls, serial.global_iterations + 1);
+
+  o.num_workers = 3;
+  ExploreOptions opts;
+  opts.max_schedules = 150000;
+  opts.controller.preemption_bound = 2;
+  const ExploreReport rep = explore(opts, [&](ScheduleController& c) {
+    Vector xp;
+    const gpusim::ExecutorResult parallel = run(xp);
+    if (parallel.status == SolverStatus::kConverged &&
+        relative_residual(a, b, xp) > o.stopping.tol) {
+      c.report_violation("invariant", "converged above tolerance");
+    }
+    if (xp != xs || parallel.status != serial.status ||
+        parallel.global_iterations != serial.global_iterations ||
+        parallel.residual_history != serial.residual_history) {
+      c.report_violation("invariant", "history-off run differs from serial");
+    }
+  });
+  EXPECT_TRUE(rep.exhausted) << rep.summary();
+  EXPECT_TRUE(rep.ok()) << rep.summary();
+  EXPECT_GT(rep.schedules, 1000u)
+      << "suspiciously few schedules - is the seam active?";
+}
+
 /// Liveness of the ledger: drop one commit event and the generation
 /// sequence check must fire.
 class DropFirstCommit final : public telemetry::SolveObserver {
