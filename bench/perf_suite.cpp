@@ -204,6 +204,11 @@ int main(int argc, char** argv) {
   };
   std::vector<BackendCmp> cmps;
   const bool simd_on = backend::simd_available();
+  // Rows per vector the simd rows below were swept with (8 on AVX-512,
+  // 4 on AVX2, 0 when simd is unavailable): timings at different widths
+  // are different measurements.
+  const index_t simd_width =
+      simd_on ? backend::find_backend("simd").caps().vector_width : 0;
   int fast_matrices = 0;
   bool tolerance_ok = true;
   if (simd_on) {
@@ -274,7 +279,8 @@ int main(int argc, char** argv) {
 
   if (simd_on) {
     std::cout << "\nbackend comparison (prebuilt kernels, block 256, "
-                 "async-(5)):\n";
+                 "async-(5), simd "
+              << simd_width << " lanes):\n";
     for (const BackendCmp& c : cmps) {
       std::cout << "  " << c.matrix << ": scalar "
                 << report::fmt_fixed(c.scalar_seconds, 4) << " s, simd "
@@ -318,6 +324,7 @@ int main(int argc, char** argv) {
      << ", \"bit_identical\": " << (identical ? "true" : "false")
      << "},\n"
      << "  \"simd_available\": " << (simd_on ? "true" : "false") << ",\n"
+     << "  \"simd_vector_width\": " << simd_width << ",\n"
      << "  \"backend_comparison\": [\n";
   for (std::size_t i = 0; i < cmps.size(); ++i) {
     const BackendCmp& c = cmps[i];

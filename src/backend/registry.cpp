@@ -39,8 +39,9 @@ class SimdBackend final : public KernelBackend {
     return "simd";
   }
   [[nodiscard]] BackendCaps caps() const noexcept override {
+    // The width the kernel actually sweeps with on this machine.
     return {/*parallel_commit_safe=*/true, /*deterministic=*/true,
-            /*vector_width=*/4};
+            /*vector_width=*/detail::simd_native_lanes()};
   }
   [[nodiscard]] bool available() const noexcept override {
     return simd_available();

@@ -5,56 +5,148 @@
 #include <stdexcept>
 #include <utility>
 
+#include "backend/simd_sweep.hpp"
 #include "common/annotations.hpp"
 #include "common/check.hpp"
 
 namespace bars::backend {
 
-bool simd_available() noexcept {
-  return detail::simd_compiled() && detail::simd_cpu_supported();
+namespace detail {
+
+bool simd_lanes_available(index_t lanes) noexcept {
+#if defined(__GNUC__) && (defined(__x86_64__) || defined(__i386__))
+  const bool avx2 = simd4_compiled() && __builtin_cpu_supports("avx2") &&
+                    __builtin_cpu_supports("fma");
+  if (lanes == 4) return avx2;
+  if (lanes == 8) {
+    return avx2 && simd8_compiled() && __builtin_cpu_supports("avx512f") &&
+           __builtin_cpu_supports("avx512vl");
+  }
+#endif
+  (void)lanes;
+  return false;
 }
+
+index_t simd_native_lanes() noexcept {
+  return simd_lanes_available(8) ? 8 : 4;
+}
+
+}  // namespace detail
+
+bool simd_available() noexcept { return detail::simd_lanes_available(4); }
 
 namespace {
 
-constexpr index_t kLanes = 4;  ///< doubles per __m256d
-
-/// Per-row (col, val) split staged row-major before lane interleaving.
-struct RowSplit {
-  std::vector<index_t> col;
-  std::vector<value_t> val;
-};
-
-/// Pack one group's rows lane-interleaved, padded to the widest row.
-/// `rows` spans the whole block; group g covers [4g, min(4g+4, m)).
-void pack_group(const std::vector<RowSplit>& rows, index_t g, index_t m,
-                std::vector<index_t>& group_ptr,
-                std::vector<std::int32_t>& pcol, std::vector<value_t>& pval) {
-  const index_t first = kLanes * g;
-  index_t width = 0;
-  for (index_t l = 0; l < kLanes && first + l < m; ++l) {
-    width = std::max(
-        width, static_cast<index_t>(rows[static_cast<std::size_t>(first + l)]
-                                        .col.size()));
-  }
-  for (index_t k = 0; k < width; ++k) {
-    for (index_t l = 0; l < kLanes; ++l) {
-      const index_t r = first + l;
-      if (r < m &&
-          k < static_cast<index_t>(
-                  rows[static_cast<std::size_t>(r)].col.size())) {
-        const RowSplit& row = rows[static_cast<std::size_t>(r)];
-        pcol.push_back(
-            static_cast<std::int32_t>(row.col[static_cast<std::size_t>(k)]));
-        pval.push_back(row.val[static_cast<std::size_t>(k)]);
-      } else {
-        // Padding: value 0 at column 0 — gathers an in-bounds element
-        // and multiplies it by zero.
-        pcol.push_back(0);
-        pval.push_back(0.0);
-      }
+/// True when every slot in [begin, end) holds `lanes` consecutive
+/// columns, so one plain load reads what the gather would.
+std::uint8_t contiguous_slots(const std::vector<std::int32_t>& col,
+                              index_t lanes, index_t begin, index_t end) {
+  for (index_t k = begin; k < end; ++k) {
+    const std::int32_t* slot = col.data() + lanes * k;
+    for (index_t l = 1; l < lanes; ++l) {
+      if (slot[l] != slot[0] + l) return 0;
     }
   }
-  group_ptr.push_back(group_ptr.back() + width);
+  return 1;
+}
+
+/// Pack block [blk.lo, blk.hi) of `a` into SELL-C slices straight from
+/// CSR: the halo, then a count pass (each group's slot count is its
+/// widest row, per split), then one fill pass over the rows into arrays
+/// sized once and zeroed (zero = padding: value 0 at column 0, which
+/// reads an in-bounds element and multiplies it by zero).
+void pack_block(const Csr& a, index_t lanes, detail::SimdBlockLayout& blk) {
+  const auto row_ptr = a.row_ptr();
+  const auto col_idx = a.col_idx();
+  const auto values = a.values();
+  const index_t lo = blk.lo;
+  const index_t hi = blk.hi;
+  const auto owned = [&](index_t j) { return j >= lo && j < hi; };
+
+  // The halo (sorted unique columns outside the block) — identical to
+  // the scalar kernel, so both backends snapshot the same values and
+  // see the same staleness.
+  for (index_t p = row_ptr[lo]; p < row_ptr[hi]; ++p) {
+    if (!owned(col_idx[p])) blk.halo.push_back(col_idx[p]);
+  }
+  std::sort(blk.halo.begin(), blk.halo.end());
+  blk.halo.erase(std::unique(blk.halo.begin(), blk.halo.end()),
+                 blk.halo.end());
+
+  // Count pass.
+  const std::size_t groups = static_cast<std::size_t>(blk.num_groups);
+  blk.lgroup_ptr.assign(groups + 1, 0);
+  blk.ggroup_ptr.assign(groups + 1, 0);
+  for (index_t g = 0; g < blk.num_groups; ++g) {
+    index_t lwidth = 0;
+    index_t gwidth = 0;
+    for (index_t i = lo + lanes * g; i < std::min(lo + lanes * (g + 1), hi);
+         ++i) {
+      index_t nl = 0;
+      index_t ng = 0;
+      for (index_t p = row_ptr[i]; p < row_ptr[i + 1]; ++p) {
+        const index_t j = col_idx[p];
+        if (j == i) continue;
+        if (owned(j)) {
+          ++nl;
+        } else {
+          ++ng;
+        }
+      }
+      lwidth = std::max(lwidth, nl);
+      gwidth = std::max(gwidth, ng);
+    }
+    const std::size_t gi = static_cast<std::size_t>(g);
+    blk.lgroup_ptr[gi + 1] = blk.lgroup_ptr[gi] + lwidth;
+    blk.ggroup_ptr[gi + 1] = blk.ggroup_ptr[gi] + gwidth;
+  }
+  const std::size_t lslots =
+      static_cast<std::size_t>(lanes * blk.lgroup_ptr.back());
+  const std::size_t gslots =
+      static_cast<std::size_t>(lanes * blk.ggroup_ptr.back());
+  blk.lcol.assign(lslots, 0);
+  blk.lval.assign(lslots, 0.0);
+  blk.gcol.assign(gslots, 0);
+  blk.gval.assign(gslots, 0.0);
+  blk.diag.assign(static_cast<std::size_t>(blk.m), 0.0);
+
+  // Fill pass: row i is lane (i - lo) % lanes of group (i - lo) / lanes.
+  for (index_t i = lo; i < hi; ++i) {
+    const index_t r = i - lo;
+    const std::size_t g = static_cast<std::size_t>(r / lanes);
+    const index_t l = r % lanes;
+    std::size_t lk = static_cast<std::size_t>(lanes * blk.lgroup_ptr[g] + l);
+    std::size_t gk = static_cast<std::size_t>(lanes * blk.ggroup_ptr[g] + l);
+    value_t diag = 0.0;
+    for (index_t p = row_ptr[i]; p < row_ptr[i + 1]; ++p) {
+      const index_t j = col_idx[p];
+      if (j == i) {
+        diag = values[p];
+      } else if (owned(j)) {
+        blk.lcol[lk] = static_cast<std::int32_t>(j - lo);
+        blk.lval[lk] = values[p];
+        lk += static_cast<std::size_t>(lanes);
+      } else {
+        const auto it = std::lower_bound(blk.halo.begin(), blk.halo.end(), j);
+        blk.gcol[gk] = static_cast<std::int32_t>(it - blk.halo.begin());
+        blk.gval[gk] = values[p];
+        gk += static_cast<std::size_t>(lanes);
+      }
+    }
+    if (diag == 0.0) {
+      throw std::invalid_argument("SimdBlockSweepKernel: zero diagonal entry");
+    }
+    blk.diag[static_cast<std::size_t>(r)] = diag;
+  }
+
+  blk.lcontig.resize(groups);
+  blk.gcontig.resize(groups);
+  for (std::size_t g = 0; g < groups; ++g) {
+    blk.lcontig[g] = contiguous_slots(blk.lcol, lanes, blk.lgroup_ptr[g],
+                                      blk.lgroup_ptr[g + 1]);
+    blk.gcontig[g] = contiguous_slots(blk.gcol, lanes, blk.ggroup_ptr[g],
+                                      blk.ggroup_ptr[g + 1]);
+  }
 }
 
 }  // namespace
@@ -62,13 +154,30 @@ void pack_group(const std::vector<RowSplit>& rows, index_t g, index_t m,
 SimdBlockSweepKernel::SimdBlockSweepKernel(const Csr& a, const Vector& b,
                                            RowPartition partition,
                                            const KernelConfig& config)
+    : SimdBlockSweepKernel(a, b, std::move(partition), config,
+                           detail::SimdLanes{}) {}
+
+SimdBlockSweepKernel::SimdBlockSweepKernel(const Csr& a, const Vector& b,
+                                           RowPartition partition,
+                                           const KernelConfig& config,
+                                           detail::SimdLanes lanes)
     : b_(&b),
       partition_(std::move(partition)),
       local_iters_(config.local_iters),
-      omega_(config.local_omega) {
+      omega_(config.local_omega),
+      lanes_(lanes.value == 0 ? detail::simd_native_lanes() : lanes.value) {
   if (!simd_available()) {
     throw backend_unsupported(
         "simd backend: AVX2+FMA not available on this machine/build");
+  }
+  if (lanes_ != 4 && lanes_ != 8) {
+    throw std::invalid_argument(
+        "SimdBlockSweepKernel: lane count must be 4 or 8");
+  }
+  if (!detail::simd_lanes_available(lanes_)) {
+    throw backend_unsupported(
+        "simd backend: the 8-lane sweep needs AVX-512F/VL on this "
+        "machine/build");
   }
   if (config.sweep != LocalSweep::kJacobi) {
     throw backend_unsupported(
@@ -98,71 +207,20 @@ SimdBlockSweepKernel::SimdBlockSweepKernel(const Csr& a, const Vector& b,
 
   const index_t q = partition_.num_blocks();
   blocks_.resize(static_cast<std::size_t>(q));
-  std::vector<RowSplit> local_rows;
-  std::vector<RowSplit> global_rows;
   for (index_t bi = 0; bi < q; ++bi) {
     detail::SimdBlockLayout& blk = blocks_[static_cast<std::size_t>(bi)];
     const RowBlock range = partition_.block(bi);
     blk.lo = range.begin;
     blk.hi = range.end;
     blk.m = blk.hi - blk.lo;
-    blk.full_groups = blk.m / kLanes;
-    blk.num_groups = (blk.m + kLanes - 1) / kLanes;
-
-    // Pass 1: the halo (sorted unique columns outside the block) —
-    // identical to the scalar kernel, so both backends snapshot the
-    // same values and see the same staleness.
-    for (index_t i = blk.lo; i < blk.hi; ++i) {
-      for (index_t j : a.row_cols(i)) {
-        if (j < blk.lo || j >= blk.hi) blk.halo.push_back(j);
-      }
-    }
-    std::sort(blk.halo.begin(), blk.halo.end());
-    blk.halo.erase(std::unique(blk.halo.begin(), blk.halo.end()),
-                   blk.halo.end());
-
-    // Pass 2: per-row local/global split, staged row-major.
-    local_rows.assign(static_cast<std::size_t>(blk.m), {});
-    global_rows.assign(static_cast<std::size_t>(blk.m), {});
-    for (index_t i = blk.lo; i < blk.hi; ++i) {
-      const auto cols = a.row_cols(i);
-      const auto vals = a.row_vals(i);
-      const std::size_t li = static_cast<std::size_t>(i - blk.lo);
-      value_t diag = 0.0;
-      for (std::size_t k = 0; k < cols.size(); ++k) {
-        const index_t j = cols[k];
-        if (j == i) {
-          diag = vals[k];
-        } else if (j >= blk.lo && j < blk.hi) {
-          local_rows[li].col.push_back(j - blk.lo);
-          local_rows[li].val.push_back(vals[k]);
-        } else {
-          const auto it =
-              std::lower_bound(blk.halo.begin(), blk.halo.end(), j);
-          global_rows[li].col.push_back(
-              static_cast<index_t>(it - blk.halo.begin()));
-          global_rows[li].val.push_back(vals[k]);
-        }
-      }
-      if (diag == 0.0) {
-        throw std::invalid_argument(
-            "SimdBlockSweepKernel: zero diagonal entry");
-      }
-      blk.diag.push_back(diag);
-    }
-
-    // Pass 3: lane-interleave into padded slices.
-    blk.lgroup_ptr.push_back(0);
-    blk.ggroup_ptr.push_back(0);
-    for (index_t g = 0; g < blk.num_groups; ++g) {
-      pack_group(local_rows, g, blk.m, blk.lgroup_ptr, blk.lcol, blk.lval);
-      pack_group(global_rows, g, blk.m, blk.ggroup_ptr, blk.gcol, blk.gval);
-    }
+    blk.full_groups = blk.m / lanes_;
+    blk.num_groups = (blk.m + lanes_ - 1) / lanes_;
+    pack_block(a, lanes_, blk);
 
     // Scratch padded to full groups so vector stores never run past
     // the end; update() never allocates.
     const std::size_t padded =
-        static_cast<std::size_t>(kLanes * blk.num_groups);
+        static_cast<std::size_t>(lanes_ * blk.num_groups);
     blk.scratch_s.assign(padded, 0.0);
     blk.scratch_a.assign(padded, 0.0);
     blk.scratch_b.assign(padded, 0.0);
@@ -226,9 +284,32 @@ BARS_HOT_NOALLOC void SimdBlockSweepKernel::update(
   BARS_DCHECK(static_cast<index_t>(x.size()) == num_rows())
       << "block " << block << " iterate size " << x.size() << " at vt "
       << ctx.virtual_time;
-  detail::simd_update_block(blk, halo_values, b_->data(), x, omega_,
-                            block_local_iters(block), ctx.failed_components,
-                            ctx.residual_sq);
+  const detail::SimdBlockView view{.lo = blk.lo,
+                                   .m = blk.m,
+                                   .full_groups = blk.full_groups,
+                                   .lgroup_ptr = blk.lgroup_ptr.data(),
+                                   .lcol = blk.lcol.data(),
+                                   .lval = blk.lval.data(),
+                                   .lcontig = blk.lcontig.data(),
+                                   .ggroup_ptr = blk.ggroup_ptr.data(),
+                                   .gcol = blk.gcol.data(),
+                                   .gval = blk.gval.data(),
+                                   .gcontig = blk.gcontig.data(),
+                                   .diag = blk.diag.data(),
+                                   .scratch_s = blk.scratch_s.data(),
+                                   .scratch_a = blk.scratch_a.data(),
+                                   .scratch_b = blk.scratch_b.data()};
+  const std::uint8_t* mask =
+      ctx.failed_components ? ctx.failed_components->data() : nullptr;
+  if (lanes_ == 8) {
+    detail::simd8_update_block(view, halo_values.data(), b_->data(), x.data(),
+                               omega_, block_local_iters(block), mask,
+                               ctx.residual_sq);
+  } else {
+    detail::simd4_update_block(view, halo_values.data(), b_->data(), x.data(),
+                               omega_, block_local_iters(block), mask,
+                               ctx.residual_sq);
+  }
 }
 
 }  // namespace bars::backend

@@ -12,24 +12,29 @@
 /// \file simd_kernel.hpp
 /// The SIMD backend's kernel: the same two-stage block sweep as the
 /// scalar BlockJacobiKernel, but over a vector-width-padded slice
-/// layout so each AVX2 FMA processes four block rows at once.
+/// layout so each FMA processes C block rows at once — C = 8 on a CPU
+/// with AVX-512F/VL, else C = 4 (AVX2+FMA), chosen at construction.
 ///
-/// Layout (per block, SELL-C-style with C = 4 = doubles per __m256d):
-/// rows are cut into groups of 4 consecutive rows; within a group every
-/// row is padded to the group's maximum entry count, and entries are
-/// stored lane-interleaved — slot k of lane l lives at packed index
-/// (base + k) * 4 + l — separately for the block-local split (column
-/// ids local to the block, gathered from the iterate / sweep scratch)
-/// and the global split (positions into the halo snapshot). Padding
-/// entries carry value 0 and column 0, so they contribute nothing while
-/// keeping every lane's trip count identical. Column ids are stored as
-/// int32 (the gather index width); value data stays double.
+/// Layout (per block, SELL-C): rows are cut into groups of C
+/// consecutive rows; within a group every row is padded to the group's
+/// maximum entry count, and entries are stored lane-interleaved — slot
+/// k of lane l lives at packed index (base + k) * C + l — separately
+/// for the block-local split (column ids local to the block, read from
+/// the iterate / sweep scratch) and the global split (positions into
+/// the halo snapshot). Padding entries carry value 0 and column 0, so
+/// they contribute nothing while keeping every lane's trip count
+/// identical. A group whose every slot holds C consecutive columns is
+/// flagged contiguous and loads them with one plain vector load instead
+/// of a gather. Column ids are stored as int32 (the gather index
+/// width); value data stays double.
 ///
 /// Numerics policy: identical accumulation ORDER to the scalar kernel
 /// (rhs, minus global entries, minus local entries, divide by the
 /// diagonal) — only the grouping of multiply-add into FMA changes
 /// rounding. docs/BACKENDS.md documents the resulting elementwise
-/// tolerance; bench/perf_suite enforces it on the paper matrices.
+/// tolerance; bench/perf_suite enforces it on the paper matrices. The
+/// 4- and 8-lane sweeps give bit-identical iterates and residual
+/// reports (simd_sweep.hpp).
 ///
 /// Restrictions (throws backend_unsupported): Jacobi local sweeps only,
 /// no overlap. Adaptive per-block sweep counts are supported.
@@ -38,37 +43,49 @@ namespace bars::backend {
 
 namespace detail {
 
-/// True when this binary contains the AVX2+FMA sweep (compiler flag
-/// support decided at configure time).
-[[nodiscard]] bool simd_compiled() noexcept;
-/// True when the CPU we are running on executes AVX2+FMA.
-[[nodiscard]] bool simd_cpu_supported() noexcept;
+/// True when this binary contains the sweep at `lanes` rows per group
+/// (4: AVX2+FMA, 8: AVX-512F/VL; compiler flag support decided at
+/// configure time) and the CPU we are running on executes it.
+[[nodiscard]] bool simd_lanes_available(index_t lanes) noexcept;
+/// Rows per vector group the kernel sweeps with on this machine: 8 when
+/// simd_lanes_available(8), else 4.
+[[nodiscard]] index_t simd_native_lanes() noexcept;
 
-/// Packed per-block slice layout consumed by the vector sweep.
+/// A lane count requested explicitly (tests compare the widths); 0
+/// means simd_native_lanes().
+struct SimdLanes {
+  index_t value = 0;
+};
+
+/// Packed per-block slice layout consumed by the vector sweep, for
+/// `lanes` rows per group.
 struct SimdBlockLayout {
   index_t lo = 0;  ///< owned row range [lo, hi)
   index_t hi = 0;
   index_t m = 0;            ///< hi - lo
-  index_t full_groups = 0;  ///< m / 4 (vector-width groups)
-  index_t num_groups = 0;   ///< ceil(m / 4); last may be lane-padded
+  index_t full_groups = 0;  ///< m / lanes (vector-width groups)
+  index_t num_groups = 0;   ///< ceil(m / lanes); last may be lane-padded
 
   std::vector<index_t> halo;  ///< global indices read from outside
 
   // Local split (columns as block-local row ids), lane-interleaved.
-  // Group g's entries occupy packed indices [lgroup_ptr[g] * 4,
-  // lgroup_ptr[g + 1] * 4).
+  // Group g's entries occupy packed indices [lgroup_ptr[g] * lanes,
+  // lgroup_ptr[g + 1] * lanes); lcontig[g] != 0 when every slot of the
+  // group holds `lanes` consecutive columns.
   std::vector<index_t> lgroup_ptr;
   std::vector<std::int32_t> lcol;
   std::vector<value_t> lval;
+  std::vector<std::uint8_t> lcontig;
 
   // Global split (columns as positions into `halo`), lane-interleaved.
   std::vector<index_t> ggroup_ptr;
   std::vector<std::int32_t> gcol;
   std::vector<value_t> gval;
+  std::vector<std::uint8_t> gcontig;
 
   std::vector<value_t> diag;  ///< a_ii per local row (size m)
 
-  // Sweep scratch, padded to 4 * num_groups so full-width vector
+  // Sweep scratch, padded to lanes * num_groups so full-width vector
   // stores on the last full group stay in bounds. `mutable` for the
   // same reason as the scalar kernel: update() is logically const and
   // distinct blocks own distinct scratch.
@@ -76,17 +93,6 @@ struct SimdBlockLayout {
   mutable std::vector<value_t> scratch_a;
   mutable std::vector<value_t> scratch_b;
 };
-
-/// The vectorized sweep + commit for one block. Lives in the AVX2
-/// translation unit; never allocates. `mask` is the executor's failed
-/// component mask (may be null); `residual_sq`, when non-null, receives
-/// the block's residual contribution (gpusim::ExecContext).
-void simd_update_block(const SimdBlockLayout& blk,
-                       std::span<const value_t> halo_values,
-                       const value_t* rhs, std::span<value_t> x,
-                       value_t omega, index_t sweeps,
-                       const std::vector<std::uint8_t>* mask,
-                       value_t* residual_sq) noexcept;
 
 }  // namespace detail
 
@@ -101,6 +107,10 @@ class SimdBlockSweepKernel final : public BlockSweepKernel {
  public:
   SimdBlockSweepKernel(const Csr& a, const Vector& b, RowPartition partition,
                        const KernelConfig& config);
+  /// As above at an explicit lane count (4 or 8); throws
+  /// backend_unsupported when this machine cannot run it.
+  SimdBlockSweepKernel(const Csr& a, const Vector& b, RowPartition partition,
+                       const KernelConfig& config, detail::SimdLanes lanes);
 
   [[nodiscard]] index_t num_blocks() const override;
   [[nodiscard]] index_t num_rows() const override;
@@ -133,11 +143,19 @@ class SimdBlockSweepKernel final : public BlockSweepKernel {
     return "simd";
   }
 
+  /// Rows per vector group: 8 (AVX-512) or 4 (AVX2).
+  [[nodiscard]] index_t vector_width() const noexcept { return lanes_; }
+  /// Block `block`'s packed layout (read-only; tests inspect it).
+  [[nodiscard]] const detail::SimdBlockLayout& layout(index_t block) const {
+    return blocks_[static_cast<std::size_t>(block)];
+  }
+
  private:
   const Vector* b_;
   RowPartition partition_;
   index_t local_iters_;
   value_t omega_;
+  index_t lanes_;
   std::vector<detail::SimdBlockLayout> blocks_;
   std::vector<index_t> per_block_iters_;  ///< empty = uniform local_iters_
 };

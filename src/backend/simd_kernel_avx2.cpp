@@ -1,14 +1,12 @@
 /// \file simd_kernel_avx2.cpp
-/// The vectorized block sweep. This is the only translation unit built
-/// with -mavx2 -mfma (per-file, see src/backend/CMakeLists.txt), so the
-/// rest of the library never emits AVX2 instructions and the runtime
-/// cpu probe fully guards execution. When the compiler cannot target
-/// AVX2 the file degrades to stubs and simd_compiled() reports false.
+/// The 4-lane block sweep (one __m256d per group of four rows). Built
+/// with -mavx2 -mfma (per-file, see src/backend/CMakeLists.txt) and
+/// reached only after the runtime cpu probe in simd_kernel.cpp, so the
+/// rest of the library never emits AVX2 instructions. When the compiler
+/// cannot target AVX2 the file degrades to a stub and simd4_compiled()
+/// reports false.
 
-#include "backend/simd_kernel.hpp"
-
-#include <algorithm>
-#include <cstdint>
+#include "backend/simd_sweep.hpp"
 
 #if defined(__AVX2__) && defined(__FMA__)
 #define BARS_BACKEND_HAS_AVX2 1
@@ -19,164 +17,64 @@
 
 namespace bars::backend::detail {
 
-bool simd_compiled() noexcept { return BARS_BACKEND_HAS_AVX2 != 0; }
-
-bool simd_cpu_supported() noexcept {
-#if defined(__GNUC__) && (defined(__x86_64__) || defined(__i386__))
-  return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
-#else
-  return false;
-#endif
-}
+bool simd4_compiled() noexcept { return BARS_BACKEND_HAS_AVX2 != 0; }
 
 #if BARS_BACKEND_HAS_AVX2
 
 namespace {
 
-/// One padded slice: acc -= vals[k] * source[cols[k]] for four lanes,
-/// over the group's entries [begin, end) (packed-entry-group units).
-inline __m256d gather_fnmadd(const std::int32_t* cols, const value_t* vals,
-                             const value_t* source, index_t begin,
-                             index_t end, __m256d acc) {
-  for (index_t k = begin; k < end; ++k) {
-    const __m128i idx = _mm_loadu_si128(
-        reinterpret_cast<const __m128i*>(cols + 4 * k));
-    const __m256d v = _mm256_loadu_pd(vals + 4 * k);
-    const __m256d g = _mm256_i32gather_pd(source, idx, 8);
-    acc = _mm256_fnmadd_pd(v, g, acc);
-  }
-  return acc;
-}
+/// sweep_block's ISA wrapper: four doubles per vector.
+struct Avx2 {
+  using Vec = __m256d;
+  using Sq4 = __m256d;
+  static constexpr index_t kLanes = 4;
 
-/// The block sweep, instantiated with and without the residual report
-/// (one branch per block), so a run that does not ask for the report
-/// executes no extra row work.
-template <bool kReport>
-void update_block(const SimdBlockLayout& blk,
-                  std::span<const value_t> halo_values, const value_t* rhs,
-                  std::span<value_t> x, value_t omega, index_t sweeps,
-                  const std::vector<std::uint8_t>* mask,
-                  [[maybe_unused]] value_t* residual_sq) noexcept {
-  const index_t m = blk.m;
-  const index_t full = blk.full_groups;
-  const value_t* xw = x.data() + blk.lo;
-  const value_t* hv = halo_values.data();
-  value_t* s = blk.scratch_s.data();
-  value_t* cur = blk.scratch_a.data();
-  value_t* nxt = blk.scratch_b.data();
+  static Vec load(const value_t* p) noexcept { return _mm256_loadu_pd(p); }
+  static void store(value_t* p, Vec v) noexcept { _mm256_storeu_pd(p, v); }
+  static Vec set1(value_t v) noexcept { return _mm256_set1_pd(v); }
+  /// The masked form with a zeroed source: the unmasked intrinsic's
+  /// undefined source trips GCC's -Wmaybe-uninitialized.
+  static Vec gather(const value_t* base, const std::int32_t* idx) noexcept {
+    const Vec zero = _mm256_setzero_pd();
+    return _mm256_mask_i32gather_pd(
+        zero, base, _mm_loadu_si128(reinterpret_cast<const __m128i*>(idx)),
+        _mm256_cmp_pd(zero, zero, _CMP_EQ_OQ), 8);
+  }
+  static Vec fnmadd(Vec a, Vec b, Vec c) noexcept {
+    return _mm256_fnmadd_pd(a, b, c);
+  }
+  static Vec fmadd(Vec a, Vec b, Vec c) noexcept {
+    return _mm256_fmadd_pd(a, b, c);
+  }
+  static Vec mul(Vec a, Vec b) noexcept { return _mm256_mul_pd(a, b); }
+  static Vec div(Vec a, Vec b) noexcept { return _mm256_div_pd(a, b); }
 
-  const __m256d vomega = _mm256_set1_pd(omega);
-  const __m256d vrest = _mm256_set1_pd(1.0 - omega);
-
-  // First sweep, fused exactly like the scalar kernel: the frozen
-  // s_i = b_i - (global part) shares the accumulator chain with the
-  // local part and is spilled only when later sweeps need it. The
-  // residual report r_i = acc - a_ii x_i rides on the same accumulator.
-  [[maybe_unused]] __m256d vrsq = _mm256_setzero_pd();
-  [[maybe_unused]] value_t rsq = 0.0;
-  for (index_t g = 0; g < full; ++g) {
-    const index_t r = 4 * g;
-    __m256d acc = _mm256_loadu_pd(rhs + blk.lo + r);
-    acc = gather_fnmadd(blk.gcol.data(), blk.gval.data(), hv,
-                        blk.ggroup_ptr[g], blk.ggroup_ptr[g + 1], acc);
-    if (sweeps > 1) _mm256_storeu_pd(s + r, acc);
-    acc = gather_fnmadd(blk.lcol.data(), blk.lval.data(), xw,
-                        blk.lgroup_ptr[g], blk.lgroup_ptr[g + 1], acc);
-    const __m256d xq = _mm256_loadu_pd(xw + r);
-    const __m256d d = _mm256_loadu_pd(blk.diag.data() + r);
-    if constexpr (kReport) {
-      const __m256d res = _mm256_fnmadd_pd(d, xq, acc);
-      vrsq = _mm256_fmadd_pd(res, res, vrsq);
-    }
-    const __m256d out = _mm256_fmadd_pd(
-        vrest, xq, _mm256_mul_pd(vomega, _mm256_div_pd(acc, d)));
-    _mm256_storeu_pd(cur + r, out);
+  static Sq4 zero_sq() noexcept { return _mm256_setzero_pd(); }
+  static void add_sq(Vec res, Sq4& acc) noexcept {
+    acc = _mm256_fmadd_pd(res, res, acc);
   }
-  // Tail rows (< 4) run scalar over the same padded slices: lane l of
-  // the last group, padding entries contribute 0.
-  for (index_t r = 4 * full; r < m; ++r) {
-    const index_t l = r - 4 * full;
-    value_t acc = rhs[blk.lo + r];
-    for (index_t k = blk.ggroup_ptr[full]; k < blk.ggroup_ptr[full + 1];
-         ++k) {
-      acc -= blk.gval[4 * k + l] * hv[blk.gcol[4 * k + l]];
-    }
-    if (sweeps > 1) s[r] = acc;
-    for (index_t k = blk.lgroup_ptr[full]; k < blk.lgroup_ptr[full + 1];
-         ++k) {
-      acc -= blk.lval[4 * k + l] * xw[blk.lcol[4 * k + l]];
-    }
-    if constexpr (kReport) {
-      const value_t res = acc - blk.diag[r] * xw[r];
-      rsq += res * res;
-    }
-    cur[r] = (1.0 - omega) * xw[r] + omega * (acc / blk.diag[r]);
+  static void spill_sq(Sq4 acc, value_t* out) noexcept {
+    _mm256_storeu_pd(out, acc);
   }
-  if constexpr (kReport) {
-    alignas(32) value_t lanes[4];
-    _mm256_store_pd(lanes, vrsq);
-    *residual_sq = (lanes[0] + lanes[1]) + (lanes[2] + lanes[3]) + rsq;
-  }
-
-  for (index_t sweep = 1; sweep < sweeps; ++sweep) {
-    for (index_t g = 0; g < full; ++g) {
-      const index_t r = 4 * g;
-      __m256d acc = _mm256_loadu_pd(s + r);
-      acc = gather_fnmadd(blk.lcol.data(), blk.lval.data(), cur,
-                          blk.lgroup_ptr[g], blk.lgroup_ptr[g + 1], acc);
-      const __m256d xq = _mm256_loadu_pd(cur + r);
-      const __m256d d = _mm256_loadu_pd(blk.diag.data() + r);
-      const __m256d out = _mm256_fmadd_pd(
-          vrest, xq, _mm256_mul_pd(vomega, _mm256_div_pd(acc, d)));
-      _mm256_storeu_pd(nxt + r, out);
-    }
-    for (index_t r = 4 * full; r < m; ++r) {
-      const index_t l = r - 4 * full;
-      value_t acc = s[r];
-      for (index_t k = blk.lgroup_ptr[full]; k < blk.lgroup_ptr[full + 1];
-           ++k) {
-        acc -= blk.lval[4 * k + l] * cur[blk.lcol[4 * k + l]];
-      }
-      nxt[r] = (1.0 - omega) * cur[r] + omega * (acc / blk.diag[r]);
-    }
-    std::swap(cur, nxt);
-  }
-
-  // Commit the owned rows, honoring the component fault mask.
-  if (mask != nullptr) {
-    for (index_t r = 0; r < m; ++r) {
-      if ((*mask)[static_cast<std::size_t>(blk.lo + r)]) continue;
-      x[blk.lo + r] = cur[r];
-    }
-  } else {
-    std::copy(cur, cur + m, x.data() + blk.lo);
-  }
-}
+};
 
 }  // namespace
 
-void simd_update_block(const SimdBlockLayout& blk,
-                       std::span<const value_t> halo_values,
-                       const value_t* rhs, std::span<value_t> x,
-                       value_t omega, index_t sweeps,
-                       const std::vector<std::uint8_t>* mask,
-                       value_t* residual_sq) noexcept {
-  if (residual_sq != nullptr) {
-    update_block<true>(blk, halo_values, rhs, x, omega, sweeps, mask,
-                       residual_sq);
-  } else {
-    update_block<false>(blk, halo_values, rhs, x, omega, sweeps, mask,
-                        nullptr);
-  }
+void simd4_update_block(const SimdBlockView& blk, const value_t* halo_values,
+                        const value_t* rhs, value_t* x, value_t omega,
+                        index_t sweeps, const std::uint8_t* mask,
+                        value_t* residual_sq) noexcept {
+  update_block<Avx2>(blk, halo_values, rhs, x, omega, sweeps, mask,
+                     residual_sq);
 }
 
 #else  // !BARS_BACKEND_HAS_AVX2
 
-void simd_update_block(const SimdBlockLayout&, std::span<const value_t>,
-                       const value_t*, std::span<value_t>, value_t, index_t,
-                       const std::vector<std::uint8_t>*, value_t*) noexcept {
+void simd4_update_block(const SimdBlockView&, const value_t*, const value_t*,
+                        value_t*, value_t, index_t, const std::uint8_t*,
+                        value_t*) noexcept {
   // Unreachable: SimdBlockSweepKernel's constructor throws
-  // backend_unsupported when simd_compiled() is false.
+  // backend_unsupported when simd4_compiled() is false.
 }
 
 #endif

@@ -9,17 +9,23 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <memory>
+#include <random>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "backend/block_jacobi_kernel.hpp"
 #include "backend/simd_kernel.hpp"
 #include "core/block_async.hpp"
 #include "matrices/generators.hpp"
+#include "resilience/scenario.hpp"
 #include "sparse/partition.hpp"
+#include "sparse/reorder.hpp"
 #include "telemetry/metrics.hpp"
 
 namespace bars::backend {
@@ -65,7 +71,10 @@ TEST(BackendRegistry, RoundTripAllProviders) {
   // The scalar reference backend is available everywhere, by contract.
   EXPECT_TRUE(find_backend("scalar").available());
   EXPECT_EQ(find_backend("scalar").caps().vector_width, 1);
-  EXPECT_GT(find_backend("simd").caps().vector_width, 1);
+  // simd reports the width it sweeps with here: 8 with AVX-512F/VL.
+  const index_t lanes = detail::simd_native_lanes();
+  EXPECT_EQ(find_backend("simd").caps().vector_width, lanes);
+  EXPECT_EQ(lanes, detail::simd_lanes_available(8) ? 8 : 4);
 }
 
 TEST(BackendRegistry, UnknownNameThrowsListingValidOnes) {
@@ -287,6 +296,14 @@ TEST(BackendKernel, SimdRejectsWhatItCannotExpress) {
   bad_iters.local_iters = 0;
   EXPECT_THROW(SimdBlockSweepKernel(a, b, part, bad_iters),
                std::invalid_argument);
+  EXPECT_THROW(SimdBlockSweepKernel(a, b, part, {}, detail::SimdLanes{3}),
+               std::invalid_argument);
+  if (!detail::simd_lanes_available(8)) {
+    EXPECT_THROW(SimdBlockSweepKernel(a, b, part, {}, detail::SimdLanes{8}),
+                 backend_unsupported);
+  }
+  EXPECT_EQ(SimdBlockSweepKernel(a, b, part, {}).vector_width(),
+            detail::simd_native_lanes());
 }
 
 TEST(BackendKernel, RhsAndPerBlockItersRoundTripPerBackend) {
@@ -362,6 +379,160 @@ TEST(BackendKernel, ReportsOwnedRowResidualPerBackend) {
           << kernel->backend_name() << " block " << blk << " k "
           << kernel->local_iters() << " overlap " << kernel->overlap();
     }
+  }
+}
+
+// ------------------------------------------------- simd lane widths
+
+/// Bit patterns, so the comparison tells -0.0 from 0.0 and NaN from NaN.
+std::vector<std::uint64_t> bits(const std::vector<value_t>& v) {
+  std::vector<std::uint64_t> out;
+  out.reserve(v.size());
+  for (const value_t d : v) out.push_back(std::bit_cast<std::uint64_t>(d));
+  return out;
+}
+
+/// Blocks of 1..23 rows in turn: every m % 8 from 0 to 7, blocks under
+/// one vector group, and ragged last groups at both widths.
+RowPartition cycling_blocks(index_t n) {
+  std::vector<index_t> bounds{0};
+  for (index_t size = 1; bounds.back() < n; size = size % 23 + 1) {
+    bounds.push_back(std::min(n, bounds.back() + size));
+  }
+  return RowPartition::from_boundaries(std::move(bounds));
+}
+
+TEST(SimdLanes, FourAndEightLanesAgreeBitForBit) {
+  if (!detail::simd_lanes_available(8)) {
+    GTEST_SKIP() << "AVX-512F/VL not available on this machine/build";
+  }
+  const std::vector<std::pair<std::string, Csr>> matrices = {
+      {"fv_like", fv_like(24, 0.5)},
+      {"trefethen", trefethen(600)},
+      {"chem97ztz_like", chem97ztz_like(600, 0.7)},
+      {"random_spd", random_spd(600, 6, 1.5, 7)}};
+  for (const auto& [name, a] : matrices) {
+    Vector b(static_cast<std::size_t>(a.rows()));
+    for (std::size_t i = 0; i < b.size(); ++i) {
+      b[i] = 1.0 + 0.01 * static_cast<value_t>(i % 13);
+    }
+    for (const RowPartition& part :
+         {cycling_blocks(a.rows()), RowPartition::uniform(a.rows(), 64)}) {
+      for (const index_t k : {1, 5}) {
+        SimdBlockSweepKernel four(a, b, part, {k}, detail::SimdLanes{4});
+        SimdBlockSweepKernel eight(a, b, part, {k},
+                                         detail::SimdLanes{8});
+        ASSERT_EQ(four.vector_width(), 4);
+        ASSERT_EQ(eight.vector_width(), 8);
+        // Three runs per kernel pair: with the residual history, on
+        // the worker pool, and under a component fault mask (a fault
+        // timeline forces the serial event loop, hence separate runs).
+        struct Run {
+          const char* what;
+          bool history;
+          index_t workers;
+          bool fault;
+        };
+        for (const Run& run : {Run{"history", true, 0, false},
+                               Run{"workers", false, 4, false},
+                               Run{"fault", false, 0, true}}) {
+          BlockAsyncOptions o;
+          o.local_iters = k;
+          o.solve.max_iters = 150;
+          o.solve.tol = 1e-9;
+          o.solve.record_history = run.history;
+          o.num_workers = run.workers;
+          if (run.fault) {
+            o.scenario = resilience::FaultScenario().fail_components(
+                5, 0.25, 10);
+          }
+          const BlockAsyncResult r4 =
+              block_async_solve_with_kernel(a, b, four, o);
+          const BlockAsyncResult r8 =
+              block_async_solve_with_kernel(a, b, eight, o);
+          const std::string what = name + " blocks " +
+                                   std::to_string(part.num_blocks()) +
+                                   " k " + std::to_string(k) + " " +
+                                   run.what;
+          EXPECT_EQ(bits(r4.solve.x), bits(r8.solve.x)) << what;
+          EXPECT_EQ(r4.solve.iterations, r8.solve.iterations) << what;
+          EXPECT_EQ(r4.solve.status, r8.solve.status) << what;
+          EXPECT_EQ(bits(r4.solve.residual_history),
+                    bits(r8.solve.residual_history))
+              << what;
+          EXPECT_EQ(r4.block_executions, r8.block_executions) << what;
+          EXPECT_EQ(r4.solve.residual_history.empty(), !run.history)
+              << what;
+        }
+
+        // The per-block residual report, block by block.
+        Vector x(b.size());
+        for (std::size_t i = 0; i < x.size(); ++i) {
+          x[i] = 0.1 * static_cast<value_t>(i % 7) - 0.3;
+        }
+        for (index_t blk = 0; blk < four.num_blocks(); ++blk) {
+          const auto halo = four.halo(blk);
+          Vector hv(halo.size());
+          for (std::size_t i = 0; i < halo.size(); ++i) hv[i] = x[halo[i]];
+          Vector x4 = x;
+          Vector x8 = x;
+          std::vector<value_t> reported(2, -1.0);
+          gpusim::ExecContext ctx;
+          ctx.residual_sq = &reported[0];
+          four.update(blk, hv, x4, ctx);
+          ctx.residual_sq = &reported[1];
+          eight.update(blk, hv, x8, ctx);
+          EXPECT_EQ(bits(x4), bits(x8)) << name << " block " << blk;
+          EXPECT_EQ(std::bit_cast<std::uint64_t>(reported[0]),
+                    std::bit_cast<std::uint64_t>(reported[1]))
+              << name << " block " << blk;
+        }
+      }
+    }
+  }
+}
+
+/// Share of the full groups' non-empty splits flagged contiguous.
+double contiguous_share(const SimdBlockSweepKernel& kernel) {
+  index_t splits = 0;
+  index_t flagged = 0;
+  for (index_t blk = 0; blk < kernel.num_blocks(); ++blk) {
+    const detail::SimdBlockLayout& l = kernel.layout(blk);
+    for (index_t g = 0; g < l.full_groups; ++g) {
+      const std::size_t gi = static_cast<std::size_t>(g);
+      if (l.lgroup_ptr[gi + 1] > l.lgroup_ptr[gi]) {
+        ++splits;
+        flagged += l.lcontig[gi];
+      }
+      if (l.ggroup_ptr[gi + 1] > l.ggroup_ptr[gi]) {
+        ++splits;
+        flagged += l.gcontig[gi];
+      }
+    }
+  }
+  return splits == 0 ? 0.0
+                     : static_cast<double>(flagged) /
+                           static_cast<double>(splits);
+}
+
+TEST(SimdLanes, StencilGroupsLoadContiguouslyShuffledOnesGather) {
+  if (!simd_available()) {
+    GTEST_SKIP() << "AVX2+FMA not available on this machine/build";
+  }
+  const Csr a = fv_like(200, 0.5);
+  Permutation p = identity_permutation(a.rows());
+  std::mt19937_64 rng(11);
+  std::shuffle(p.begin(), p.end(), rng);
+  const Csr shuffled = permute_symmetric(a, p);
+  const Vector b(static_cast<std::size_t>(a.rows()), 1.0);
+  const RowPartition part = RowPartition::uniform(a.rows(), 448);
+  for (const index_t lanes : {4, 8}) {
+    if (!detail::simd_lanes_available(lanes)) continue;
+    const SimdBlockSweepKernel grid(a, b, part, {}, detail::SimdLanes{lanes});
+    const SimdBlockSweepKernel scattered(shuffled, b, part, {},
+                                         detail::SimdLanes{lanes});
+    EXPECT_GE(contiguous_share(grid), 0.9) << lanes << " lanes";
+    EXPECT_EQ(contiguous_share(scattered), 0.0) << lanes << " lanes";
   }
 }
 

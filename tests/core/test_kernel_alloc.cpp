@@ -1,5 +1,7 @@
-/// Allocation audit for the hot path: BlockJacobiKernel::update must
-/// not touch the heap — all sweep scratch is sized at construction.
+/// Allocation audit for the hot path: no kernel's update() may touch
+/// the heap — BlockJacobiKernel, every registered backend, and the SIMD
+/// kernel at each lane count this machine runs. All sweep scratch is
+/// sized at construction.
 /// This file overrides the global allocation functions (binary-wide,
 /// hence its own test executable) with a toggleable counter.
 
@@ -9,9 +11,12 @@
 #include <cstdlib>
 #include <new>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "backend/block_jacobi_kernel.hpp"
+#include "backend/registry.hpp"
+#include "backend/simd_kernel.hpp"
 #include "gpusim/block_kernel.hpp"
 #include "matrices/generators.hpp"
 #include "sparse/partition.hpp"
@@ -59,7 +64,7 @@ struct Fixture {
         part(RowPartition::uniform(a.rows(), 32)) {}
 };
 
-void exercise(const BlockJacobiKernel& kernel, Vector& x) {
+void exercise(const backend::BlockSweepKernel& kernel, Vector& x) {
   Vector halo_vals;
   // Pre-size the snapshot buffer outside the audited region (the
   // executor reuses its per-block snapshot vectors the same way).
@@ -83,7 +88,7 @@ void exercise(const BlockJacobiKernel& kernel, Vector& x) {
     }
   }
   EXPECT_EQ(guard.count(), 0u)
-      << "BlockJacobiKernel::update allocated on the hot path";
+      << kernel.backend_name() << " update allocated on the hot path";
 }
 
 TEST(KernelAllocAudit, JacobiSingleSweepIsAllocationFree) {
@@ -113,6 +118,34 @@ TEST(KernelAllocAudit, OverlappingKernelIsAllocationFree) {
                            /*overlap=*/4);
   Vector x(f.b.size(), 0.0);
   exercise(kernel, x);
+}
+
+TEST(KernelAllocAudit, EveryBackendIsAllocationFree) {
+  Fixture f;
+  for (const std::string& name : backend::backend_names()) {
+    if (!backend::find_backend(name).available()) continue;
+    for (const index_t k : {1, 5}) {
+      const auto kernel = backend::build_kernel(name, f.a, f.b, f.part, {k});
+      Vector x(f.b.size(), 0.0);
+      exercise(*kernel, x);
+    }
+  }
+}
+
+TEST(KernelAllocAudit, SimdIsAllocationFreeAtEveryLaneCount) {
+  Fixture f;
+  // Block size 13 leaves a scalar tail group at both widths.
+  const RowPartition ragged = RowPartition::uniform(f.a.rows(), 13);
+  for (const index_t lanes : {4, 8}) {
+    if (!backend::detail::simd_lanes_available(lanes)) continue;
+    for (const RowPartition& part : {f.part, ragged}) {
+      backend::SimdBlockSweepKernel kernel(f.a, f.b, part, {3},
+                                           backend::detail::SimdLanes{lanes});
+      ASSERT_EQ(kernel.vector_width(), lanes);
+      Vector x(f.b.size(), 0.0);
+      exercise(kernel, x);
+    }
+  }
 }
 
 }  // namespace
